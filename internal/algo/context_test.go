@@ -3,6 +3,7 @@ package algo_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"dagsched/internal/core"
 	"dagsched/internal/sched"
 	"dagsched/internal/testfix"
+	"dagsched/internal/workload"
 )
 
 func TestScheduleContextLiveContext(t *testing.T) {
@@ -34,7 +36,10 @@ func TestScheduleContextPreCanceled(t *testing.T) {
 	// Both a CtxScheduler and a plain Algorithm refuse a dead context.
 	for _, a := range []algo.Algorithm{
 		listsched.HEFT{},
-		listsched.CPOP{}, // no ScheduleContext: checked by the dispatcher
+		listsched.HLFET{},
+		listsched.ISH{},
+		listsched.CPOP{},
+		listsched.MCP{}, // no ScheduleContext: checked by the dispatcher
 	} {
 		if _, err := algo.ScheduleContext(ctx, a, in); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", a.Name(), err)
@@ -43,14 +48,36 @@ func TestScheduleContextPreCanceled(t *testing.T) {
 }
 
 func TestScheduleContextAbortsMidRun(t *testing.T) {
-	in := testfix.Topcuoglu()
-	for _, a := range []algo.Algorithm{
-		core.New(),
-		listsched.HEFT{},
-		search.HillClimb{Iters: 1 << 30},
-		search.Anneal{Iters: 1 << 30},
-		search.Genetic{Pop: 16, Gens: 1 << 20},
+	small := testfix.Topcuoglu()
+	// The ready-queue schedulers need tens of milliseconds on this
+	// instance even on fast hardware, so the cancel lands mid-run.
+	rng := rand.New(rand.NewSource(7))
+	g, err := workload.Random(workload.RandomConfig{N: 50000}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := workload.MakeInstance(g, workload.HetConfig{Procs: 8, CCR: 1, Beta: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mustAbort runs cannot finish before the cancel lands: unbounded
+	// searches and the large ready-queue runs. ILS/HEFT may legitimately
+	// finish the tiny instance first.
+	for _, c := range []struct {
+		a         algo.Algorithm
+		in        *sched.Instance
+		mustAbort bool
+	}{
+		{core.New(), small, false},
+		{listsched.HEFT{}, small, false},
+		{search.HillClimb{Iters: 1 << 30}, small, true},
+		{search.Anneal{Iters: 1 << 30}, small, true},
+		{search.Genetic{Pop: 16, Gens: 1 << 20}, small, true},
+		{listsched.HLFET{}, large, true},
+		{listsched.ISH{}, large, true},
+		{listsched.CPOP{}, large, true},
 	} {
+		a, in := c.a, c.in
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
@@ -63,18 +90,56 @@ func TestScheduleContextAbortsMidRun(t *testing.T) {
 		cancel()
 		select {
 		case err := <-done:
-			// ILS/HEFT may legitimately finish the tiny instance before
-			// the cancel lands; the unbounded searches cannot.
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: err = %v", a.Name(), err)
 			}
-			if err == nil {
-				if _, unbounded := a.(search.HillClimb); unbounded {
-					t.Fatalf("%s: unbounded search completed", a.Name())
-				}
+			if err == nil && c.mustAbort {
+				t.Fatalf("%s: completed despite cancellation", a.Name())
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: did not abort within 10s of cancellation", a.Name())
+		}
+	}
+}
+
+// pollCountCtx reports cancellation from its limit-th Err call on: a
+// deterministic stand-in for a cancel that lands mid-run.
+type pollCountCtx struct {
+	context.Context
+	polls, limit int
+}
+
+func (c *pollCountCtx) Err() error {
+	c.polls++
+	if c.polls >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReadyQueueSchedulersStopAtCheckpoint pins the pick-loop checkpoints
+// of the ready-queue schedulers: the dispatcher polls once, the loop's
+// first Check once, and the poll one stride later must abort the run. A
+// scheduler polled only before and after its run would complete instead.
+func TestReadyQueueSchedulersStopAtCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g, err := workload.Random(workload.RandomConfig{N: 1000}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := workload.MakeInstance(g, workload.HetConfig{Procs: 4, CCR: 1, Beta: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, a := range []algo.Algorithm{listsched.HLFET{}, listsched.ISH{}, listsched.CPOP{}} {
+		ctx := &pollCountCtx{Context: live, limit: 3}
+		if _, err := algo.ScheduleContext(ctx, a, in); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", a.Name(), err)
+		}
+		if ctx.polls != 3 {
+			t.Fatalf("%s: %d polls, want 3", a.Name(), ctx.polls)
 		}
 	}
 }
@@ -126,6 +191,9 @@ func TestCheckpointStride(t *testing.T) {
 
 var _ algo.CtxScheduler = core.ILS{}
 var _ algo.CtxScheduler = listsched.HEFT{}
+var _ algo.CtxScheduler = listsched.HLFET{}
+var _ algo.CtxScheduler = listsched.ISH{}
+var _ algo.CtxScheduler = listsched.CPOP{}
 var _ algo.CtxScheduler = search.HillClimb{}
 var _ algo.CtxScheduler = search.Anneal{}
 var _ algo.CtxScheduler = search.Genetic{}

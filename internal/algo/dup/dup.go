@@ -50,25 +50,19 @@ func (BTDH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 	return duplicationSchedule(in, "BTDH", tryDuplicationBTDH)
 }
 
-// duplicationSchedule is the shared driver: static-level ready list, one
+// duplicationSchedule is the shared driver: static-level ready queue, one
 // speculative transaction per candidate processor (evaluated concurrently
 // on large instances — transactions make the trials independent), commit
 // of the winning transaction.
 func duplicationSchedule(in *sched.Instance, name string, try func(*sched.Txn, dag.TaskID, int) algo.DupResult) (*sched.Schedule, error) {
-	sl := sched.StaticLevel(in)
 	pl := sched.NewPlan(in)
-	rl := algo.NewReadyList(in.G)
+	q := algo.NewReadyQueue(in.G, sched.StaticLevel(in), nil)
 	group := algo.NewTrialGroup(in.P(), in.N())
 	defer group.Close()
 	txs := make([]*sched.Txn, in.P())
 	results := make([]algo.DupResult, in.P())
-	for !rl.Empty() {
-		var pick dag.TaskID = -1
-		for _, r := range rl.Ready() {
-			if pick == -1 || sl[r] > sl[pick] {
-				pick = r
-			}
-		}
+	for !q.Empty() {
+		pick := q.Pop()
 		group.Run(in.P(), func(p int) {
 			tx := txs[p]
 			if tx == nil {
@@ -90,7 +84,6 @@ func duplicationSchedule(in *sched.Instance, name string, try func(*sched.Txn, d
 		}
 		txs[bestProc].Commit()
 		pl.Place(pick, bestProc, results[bestProc].Start)
-		rl.Complete(pick)
 	}
 	return pl.Finalize(name), nil
 }

@@ -36,8 +36,10 @@ func OrderAscPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
 	return OrderDescPrecedence(g, neg)
 }
 
-// ReadyList tracks which unscheduled tasks have all predecessors placed.
-// It is the driver for dynamic-priority heuristics (ETF, DLS, CPOP, ...).
+// ReadyList tracks which unscheduled tasks have all predecessors placed,
+// in ascending id order. It drives the pair-scan heuristics (ETF, DLS),
+// which examine every ready task per step anyway; priority-pick
+// schedulers use ReadyQueue.
 type ReadyList struct {
 	g       *dag.Graph
 	pending []int // unscheduled predecessor count per task

@@ -1,10 +1,10 @@
 package listsched
 
 import (
-	"math"
+	"context"
+	"fmt"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
 
@@ -19,48 +19,34 @@ type CPOP struct{}
 func (CPOP) Name() string { return "CPOP" }
 
 // Schedule implements algo.Algorithm.
-func (CPOP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (c CPOP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return c.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (CPOP) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	up := sched.RankUpward(in)
 	down := sched.RankDownward(in)
 	prio := make([]float64, in.N())
 	for i := range prio {
 		prio[i] = up[i] + down[i]
 	}
-	cpPath, _ := sched.CriticalPathMean(in)
-	onCP := make([]bool, in.N())
-	for _, v := range cpPath {
-		onCP[v] = true
-	}
-	// The critical-path processor minimizes the CP's total execution cost.
-	cpProc, bestCost := 0, math.Inf(1)
-	for p := 0; p < in.P(); p++ {
-		var sum float64
-		for _, v := range cpPath {
-			sum += in.Cost(v, p)
-		}
-		if sum < bestCost {
-			cpProc, bestCost = p, sum
-		}
-	}
-
+	cp := newCPState(in)
 	pl := sched.NewPlan(in)
-	rl := algo.NewReadyList(in.G)
-	for !rl.Empty() {
-		// Highest-priority ready task; ascending-id ready list breaks ties.
-		var pick dag.TaskID = -1
-		for _, r := range rl.Ready() {
-			if pick == -1 || prio[r] > prio[pick] {
-				pick = r
-			}
+	q := algo.NewReadyQueue(in.G, prio, nil)
+	check := algo.NewCheckpoint(ctx, 64)
+	for !q.Empty() {
+		if err := check.Check(); err != nil {
+			return nil, fmt.Errorf("CPOP: %w", err)
 		}
-		if onCP[pick] {
-			s, _ := pl.EFTOn(pick, cpProc, true)
-			pl.Place(pick, cpProc, s)
+		pick := q.Pop()
+		if cp.onCP[pick] {
+			s, _ := pl.EFTOn(pick, cp.proc, true)
+			pl.Place(pick, cp.proc, s)
 		} else {
 			p, s, _ := pl.BestEFT(pick, true)
 			pl.Place(pick, p, s)
 		}
-		rl.Complete(pick)
 	}
 	return pl.Finalize("CPOP"), nil
 }

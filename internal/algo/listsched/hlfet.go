@@ -1,8 +1,10 @@
 package listsched
 
 import (
+	"context"
+	"fmt"
+
 	"dagsched/internal/algo"
-	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
 
@@ -16,17 +18,20 @@ type HLFET struct{}
 func (HLFET) Name() string { return "HLFET" }
 
 // Schedule implements algo.Algorithm.
-func (HLFET) Schedule(in *sched.Instance) (*sched.Schedule, error) {
-	sl := sched.StaticLevel(in)
+func (h HLFET) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return h.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (HLFET) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	pl := sched.NewPlan(in)
-	rl := algo.NewReadyList(in.G)
-	for !rl.Empty() {
-		var pick dag.TaskID = -1
-		for _, r := range rl.Ready() {
-			if pick == -1 || sl[r] > sl[pick] {
-				pick = r
-			}
+	q := algo.NewReadyQueue(in.G, sched.StaticLevel(in), nil)
+	check := algo.NewCheckpoint(ctx, 64)
+	for !q.Empty() {
+		if err := check.Check(); err != nil {
+			return nil, fmt.Errorf("HLFET: %w", err)
 		}
+		pick := q.Pop()
 		bestP, bestS := -1, 0.0
 		for p := 0; p < in.P(); p++ {
 			s, _ := pl.EFTOn(pick, p, false)
@@ -35,7 +40,6 @@ func (HLFET) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 			}
 		}
 		pl.Place(pick, bestP, bestS)
-		rl.Complete(pick)
 	}
 	return pl.Finalize("HLFET"), nil
 }

@@ -1,6 +1,9 @@
 package listsched
 
 import (
+	"context"
+	"fmt"
+
 	"dagsched/internal/algo"
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
@@ -17,18 +20,21 @@ type ISH struct{}
 func (ISH) Name() string { return "ISH" }
 
 // Schedule implements algo.Algorithm.
-func (ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (h ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return h.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (ISH) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	const eps = 1e-9
-	sl := sched.StaticLevel(in)
 	pl := sched.NewPlan(in)
-	rl := algo.NewReadyList(in.G)
-	for !rl.Empty() {
-		var pick dag.TaskID = -1
-		for _, r := range rl.Ready() {
-			if pick == -1 || sl[r] > sl[pick] {
-				pick = r
-			}
+	q := algo.NewReadyQueue(in.G, sched.StaticLevel(in), nil)
+	check := algo.NewCheckpoint(ctx, 64)
+	for !q.Empty() {
+		if err := check.Check(); err != nil {
+			return nil, fmt.Errorf("ISH: %w", err)
 		}
+		pick := q.Pop()
 		bestP, bestS := -1, 0.0
 		holeStart := 0.0
 		for p := 0; p < in.P(); p++ {
@@ -39,7 +45,6 @@ func (ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 			}
 		}
 		pl.Place(pick, bestP, bestS)
-		rl.Complete(pick)
 		if bestS <= holeStart+eps {
 			continue // no hole created
 		}
@@ -49,9 +54,9 @@ func (ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 		for {
 			var fill dag.TaskID = -1
 			fillStart := 0.0
-			for _, r := range rl.Ready() {
+			for _, r := range q.Tasks() {
 				s, f := pl.EFTOn(r, bestP, true)
-				if f <= bestS+eps && (fill == -1 || sl[r] > sl[fill]) {
+				if f <= bestS+eps && (fill == -1 || q.Before(r, fill)) {
 					fill, fillStart = r, s
 				}
 			}
@@ -59,7 +64,7 @@ func (ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 				break
 			}
 			pl.Place(fill, bestP, fillStart)
-			rl.Complete(fill)
+			q.Complete(fill)
 		}
 	}
 	return pl.Finalize("ISH"), nil

@@ -248,19 +248,12 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 			step(t)
 		}
 	case OrderReady:
-		rl := algo.NewReadyList(in.G)
-		for !rl.Empty() {
+		q := algo.NewReadyQueue(in.G, prio, nil)
+		for !q.Empty() {
 			if err := check.Check(); err != nil {
 				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
 			}
-			var pick dag.TaskID = -1
-			for _, r := range rl.Ready() {
-				if pick == -1 || prio[r] > prio[pick] {
-					pick = r
-				}
-			}
-			step(pick)
-			rl.Complete(pick)
+			step(q.Pop())
 		}
 	case OrderPair:
 		rl := algo.NewReadyList(in.G)
@@ -302,39 +295,15 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 // equivalence tests pin it) — while staying precedence-valid for
 // non-monotone metrics like rank_u + rank_d, which a global sort is not.
 func staticOrder(g *dag.Graph, prio []float64) []dag.TaskID {
-	n := g.Len()
 	topo := g.TopoOrder()
-	pos := make([]int, n)
+	pos := make([]int32, len(topo))
 	for i, v := range topo {
-		pos[v] = i
+		pos[v] = int32(i)
 	}
-	pending := make([]int, n)
-	var ready []dag.TaskID
-	for i := 0; i < n; i++ {
-		pending[i] = g.InDegree(dag.TaskID(i))
-		if pending[i] == 0 {
-			ready = append(ready, dag.TaskID(i))
-		}
-	}
-	order := make([]dag.TaskID, 0, n)
-	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			a, b := ready[i], ready[best]
-			if prio[a] > prio[b] || (prio[a] == prio[b] && pos[a] < pos[b]) {
-				best = i
-			}
-		}
-		pick := ready[best]
-		ready[best] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		order = append(order, pick)
-		for _, a := range g.Succ(pick) {
-			pending[a.To]--
-			if pending[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
+	q := algo.NewReadyQueue(g, prio, pos)
+	order := make([]dag.TaskID, 0, len(topo))
+	for !q.Empty() {
+		order = append(order, q.Pop())
 	}
 	return order
 }

@@ -33,70 +33,15 @@ func (s solution) clone() solution {
 
 // decode builds the plan a solution encodes. Any priority vector decodes
 // to a valid schedule: precedence is enforced by releasing tasks only
-// once every predecessor is placed. The ready set is a binary max-heap on
-// (priority, lower id on ties) — the same task a linear scan of the
-// ascending-id ready list with a strict > comparison would pick — so
-// decode costs O(n log n) instead of O(n · ready-width) and the search
-// heuristics keep their exact schedules.
+// once every predecessor is placed: the ready queue picks the highest
+// priority, lower id on ties, in O(log w) for ready width w.
 func decode(in *sched.Instance, s solution) *sched.Plan {
-	n := in.N()
 	pl := sched.NewPlan(in)
-	pending := make([]int, n)
-	heap := make([]dag.TaskID, 0, n)
-	less := func(a, b dag.TaskID) bool {
-		if s.prio[a] != s.prio[b] {
-			return s.prio[a] > s.prio[b]
-		}
-		return a < b
-	}
-	push := func(v dag.TaskID) {
-		heap = append(heap, v)
-		for i := len(heap) - 1; i > 0; {
-			par := (i - 1) / 2
-			if !less(heap[i], heap[par]) {
-				break
-			}
-			heap[i], heap[par] = heap[par], heap[i]
-			i = par
-		}
-	}
-	pop := func() dag.TaskID {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= last {
-				break
-			}
-			if c+1 < last && less(heap[c+1], heap[c]) {
-				c++
-			}
-			if !less(heap[c], heap[i]) {
-				break
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-		return top
-	}
-	for i := 0; i < n; i++ {
-		pending[i] = in.G.InDegree(dag.TaskID(i))
-		if pending[i] == 0 {
-			push(dag.TaskID(i))
-		}
-	}
-	for len(heap) > 0 {
-		pick := pop()
+	q := algo.NewReadyQueue(in.G, s.prio, nil)
+	for !q.Empty() {
+		pick := q.Pop()
 		start, _ := pl.EFTOn(pick, s.assign[pick], true)
 		pl.Place(pick, s.assign[pick], start)
-		for _, a := range in.G.Succ(pick) {
-			pending[a.To]--
-			if pending[a.To] == 0 {
-				push(a.To)
-			}
-		}
 	}
 	return pl
 }

@@ -39,18 +39,11 @@ func sealReplan(pm listsched.Param, in *sched.Instance, prio []float64, frozen [
 			placeMovable(pl, pm, cpOn, cpProc, t, clock)
 		}
 	case listsched.OrderReady:
-		rl := algo.NewReadyList(in.G)
-		for !rl.Empty() {
-			var pick dag.TaskID = -1
-			for _, r := range rl.Ready() {
-				if pick == -1 || prio[r] > prio[pick] {
-					pick = r
-				}
-			}
-			if !isFrozen[pick] {
+		q := algo.NewReadyQueue(in.G, prio, nil)
+		for !q.Empty() {
+			if pick := q.Pop(); !isFrozen[pick] {
 				placeMovable(pl, pm, cpOn, cpProc, pick, clock)
 			}
-			rl.Complete(pick)
 		}
 	case listsched.OrderPair:
 		rl := algo.NewReadyList(in.G)
