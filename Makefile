@@ -1,11 +1,11 @@
 # Development and CI entry points. `make ci` is the tier run before
 # merging: static checks, the full test suite under the race detector,
-# and a one-iteration benchmark smoke proving the perf-path still builds
-# and schedules at every size.
+# a one-iteration benchmark smoke proving the perf-path still builds
+# and schedules at every size, and a build of the benchmark module.
 
 GO ?= go
 
-.PHONY: all build vet test race race-concurrent cluster-chaos bench-smoke fuzz-smoke scale service-bench stream-bench ci
+.PHONY: all build vet test race race-concurrent cluster-chaos bench-smoke perfbench-build fuzz-smoke scale service-bench stream-bench ci
 
 all: build
 
@@ -72,6 +72,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchEndpoint' -benchtime 1x ./internal/service
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamAppend' -benchtime 1x ./internal/stream
 
+# perfbench/ is its own Go module, so `go test ./...` never compiles it;
+# vet and build it against this checkout's packages.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
 # A few seconds of coverage-guided fuzzing per parser entry point.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
@@ -98,4 +103,4 @@ service-bench:
 stream-bench:
 	$(GO) run ./cmd/schedbench -stream -out BENCH_stream.json
 
-ci: vet race race-concurrent bench-smoke
+ci: vet race race-concurrent bench-smoke perfbench-build

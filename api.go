@@ -150,7 +150,9 @@ type (
 	// Algorithm maps an instance to a schedule.
 	Algorithm = algo.Algorithm
 	// CtxScheduler is implemented by algorithms whose hot loop carries
-	// cancellation checkpoints (ILS, HEFT and the search schedulers).
+	// cancellation checkpoints: ILS and C-ILS, C-HEFT, the listsched
+	// grid (HEFT, CPOP, HLFET, ETF and every "LS/..." point), ISH, DLS,
+	// MCP and the search schedulers.
 	CtxScheduler = algo.CtxScheduler
 	// ILSOptions selects the mechanisms of the ILS scheduler.
 	ILSOptions = core.Options

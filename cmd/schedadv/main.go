@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"dagsched/internal/adversary"
-	"dagsched/internal/algo"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/suite"
 )
@@ -70,11 +69,11 @@ func main() {
 	if *attacker == "" || *victim == "" {
 		fatal(fmt.Errorf("-attacker and -victim are required (see -list and -grid)"))
 	}
-	att, err := resolve(*attacker)
+	att, err := suite.ByName(*attacker)
 	if err != nil {
 		fatal(err)
 	}
-	vic, err := resolve(*victim)
+	vic, err := suite.ByName(*victim)
 	if err != nil {
 		fatal(err)
 	}
@@ -130,19 +129,6 @@ func main() {
 		}
 		fmt.Printf("saved       %s/%s (manifest updated)\n", *outDir, fx.File)
 	}
-}
-
-// resolve looks a name up in the registry, falling back to parsing
-// LS/... component settings so the adversary can attack grid points.
-func resolve(name string) (algo.Algorithm, error) {
-	if strings.HasPrefix(name, "LS/") {
-		pm, err := listsched.ParseParam(name)
-		if err != nil {
-			return nil, err
-		}
-		return pm, nil
-	}
-	return suite.ByName(name)
 }
 
 // slug makes an algorithm name filesystem-safe.

@@ -113,8 +113,8 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	for _, method := range Methods() {
 		cfg := Config{
-			Attacker: listsched.HEFT{},
-			Victim:   listsched.HLFET{},
+			Attacker: listsched.HEFT(),
+			Victim:   listsched.HLFET(),
 			Method:   method,
 			Iters:    30,
 			Pop:      6,
@@ -153,8 +153,8 @@ func TestSearchDeterministic(t *testing.T) {
 // on a heterogeneous base within a modest budget.
 func TestSearchImproves(t *testing.T) {
 	cfg := Config{
-		Attacker: listsched.HEFT{},
-		Victim:   listsched.HLFET{},
+		Attacker: listsched.HEFT(),
+		Victim:   listsched.HLFET(),
 		Method:   "hc",
 		Iters:    120,
 		Seed:     3,
@@ -183,7 +183,7 @@ func TestSearchConfigErrors(t *testing.T) {
 	if _, err := Search(context.Background(), baseSpec(), Config{}); err == nil {
 		t.Error("missing attacker/victim accepted")
 	}
-	cfg := Config{Attacker: listsched.HEFT{}, Victim: listsched.ETF{}, Method: "bogus"}
+	cfg := Config{Attacker: listsched.HEFT(), Victim: listsched.ETF(), Method: "bogus"}
 	if _, err := Search(context.Background(), baseSpec(), cfg); err == nil {
 		t.Error("unknown method accepted")
 	}
@@ -203,7 +203,7 @@ func TestSearchConfigErrors(t *testing.T) {
 // TestFixtureRoundTrip saves a search result as a fixture and reloads
 // it through the manifest, checking the digest pins hold.
 func TestFixtureRoundTrip(t *testing.T) {
-	cfg := Config{Attacker: listsched.HEFT{}, Victim: listsched.ETF{}, Method: "hc", Iters: 15, Seed: 9}
+	cfg := Config{Attacker: listsched.HEFT(), Victim: listsched.ETF(), Method: "hc", Iters: 15, Seed: 9}
 	res, err := Search(context.Background(), baseSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)

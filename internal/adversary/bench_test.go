@@ -17,7 +17,7 @@ func BenchmarkPopulationEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	base.materialize(in.G.NumEdges())
-	cfg := Config{Attacker: listsched.HEFT{}, Victim: listsched.CPOP{}}
+	cfg := Config{Attacker: listsched.HEFT(), Victim: listsched.CPOP()}
 	if err := cfg.defaults(); err != nil {
 		b.Fatal(err)
 	}

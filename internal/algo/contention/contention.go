@@ -29,7 +29,7 @@ type CHEFT struct{}
 func (CHEFT) Name() string { return "C-HEFT" }
 
 func cheft() algo.CommAware {
-	return algo.CommAware{Inner: listsched.HEFT{}, Kind: platform.KindOnePort, DisplayName: "C-HEFT"}
+	return algo.CommAware{Inner: listsched.HEFT(), Kind: platform.KindOnePort, DisplayName: "C-HEFT"}
 }
 
 // Schedule implements algo.Algorithm.

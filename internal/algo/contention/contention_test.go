@@ -48,7 +48,7 @@ func TestCHEFTIsWrappedHEFT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := algo.CommAware{Inner: listsched.HEFT{}, Kind: platform.KindOnePort}
+		w := algo.CommAware{Inner: listsched.HEFT(), Kind: platform.KindOnePort}
 		b, err := w.Schedule(in)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestCHEFTRobustToContention(t *testing.T) {
 	var heftStretch, cheftStretch float64
 	trials := 0
 	testfix.Battery(testfix.BatteryConfig{Trials: 20, MaxCCR: 8, Seed: 7003}, func(trial int, in *sched.Instance) {
-		h, err := listsched.HEFT{}.Schedule(in)
+		h, err := listsched.HEFT().Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestCHEFTRobustToContention(t *testing.T) {
 func TestCHEFTContendedMakespanCompetitive(t *testing.T) {
 	var heftMS, cheftMS float64
 	testfix.Battery(testfix.BatteryConfig{Trials: 20, MaxCCR: 8, Seed: 7004}, func(trial int, in *sched.Instance) {
-		h, _ := listsched.HEFT{}.Schedule(in)
+		h, _ := listsched.HEFT().Schedule(in)
 		c, _ := CHEFT{}.Schedule(in)
 		hr, err := sim.Run(h, sim.Config{Contention: true})
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dagsched/internal/algo"
+	"dagsched/internal/algo/cluster"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/search"
 	"dagsched/internal/core"
@@ -18,7 +19,7 @@ import (
 
 func TestScheduleContextLiveContext(t *testing.T) {
 	in := testfix.Topcuoglu()
-	for _, a := range []algo.Algorithm{listsched.HEFT{}, core.New(), listsched.CPOP{}} {
+	for _, a := range []algo.Algorithm{listsched.HEFT(), core.New(), listsched.CPOP()} {
 		s, err := algo.ScheduleContext(context.Background(), a, in)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
@@ -35,11 +36,14 @@ func TestScheduleContextPreCanceled(t *testing.T) {
 	cancel()
 	// Both a CtxScheduler and a plain Algorithm refuse a dead context.
 	for _, a := range []algo.Algorithm{
-		listsched.HEFT{},
-		listsched.HLFET{},
+		listsched.HEFT(),
+		listsched.HLFET(),
 		listsched.ISH{},
-		listsched.CPOP{},
-		listsched.MCP{}, // no ScheduleContext: checked by the dispatcher
+		listsched.CPOP(),
+		listsched.ETF(),
+		listsched.DLS{},
+		listsched.MCP{},
+		cluster.DSC{}, // no ScheduleContext: checked by the dispatcher
 	} {
 		if _, err := algo.ScheduleContext(ctx, a, in); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", a.Name(), err)
@@ -69,13 +73,13 @@ func TestScheduleContextAbortsMidRun(t *testing.T) {
 		mustAbort bool
 	}{
 		{core.New(), small, false},
-		{listsched.HEFT{}, small, false},
+		{listsched.HEFT(), small, false},
 		{search.HillClimb{Iters: 1 << 30}, small, true},
 		{search.Anneal{Iters: 1 << 30}, small, true},
 		{search.Genetic{Pop: 16, Gens: 1 << 20}, small, true},
-		{listsched.HLFET{}, large, true},
+		{listsched.HLFET(), large, true},
 		{listsched.ISH{}, large, true},
-		{listsched.CPOP{}, large, true},
+		{listsched.CPOP(), large, true},
 	} {
 		a, in := c.a, c.in
 		ctx, cancel := context.WithCancel(context.Background())
@@ -118,9 +122,10 @@ func (c *pollCountCtx) Err() error {
 }
 
 // TestReadyQueueSchedulersStopAtCheckpoint pins the pick-loop checkpoints
-// of the ready-queue schedulers: the dispatcher polls once, the loop's
-// first Check once, and the poll one stride later must abort the run. A
-// scheduler polled only before and after its run would complete instead.
+// of the ready-queue and pair-scan schedulers: the dispatcher polls once,
+// the loop's first Check once, and the poll one stride later must abort
+// the run. A scheduler polled only before and after its run would
+// complete instead.
 func TestReadyQueueSchedulersStopAtCheckpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g, err := workload.Random(workload.RandomConfig{N: 1000}, rng)
@@ -133,7 +138,10 @@ func TestReadyQueueSchedulersStopAtCheckpoint(t *testing.T) {
 	}
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, a := range []algo.Algorithm{listsched.HLFET{}, listsched.ISH{}, listsched.CPOP{}} {
+	for _, a := range []algo.Algorithm{
+		listsched.HLFET(), listsched.ISH{}, listsched.CPOP(),
+		listsched.ETF(), listsched.DLS{}, listsched.MCP{},
+	} {
 		ctx := &pollCountCtx{Context: live, limit: 3}
 		if _, err := algo.ScheduleContext(ctx, a, in); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", a.Name(), err)
@@ -190,10 +198,10 @@ func TestCheckpointStride(t *testing.T) {
 }
 
 var _ algo.CtxScheduler = core.ILS{}
-var _ algo.CtxScheduler = listsched.HEFT{}
-var _ algo.CtxScheduler = listsched.HLFET{}
+var _ algo.CtxScheduler = listsched.Param{}
 var _ algo.CtxScheduler = listsched.ISH{}
-var _ algo.CtxScheduler = listsched.CPOP{}
+var _ algo.CtxScheduler = listsched.DLS{}
+var _ algo.CtxScheduler = listsched.MCP{}
 var _ algo.CtxScheduler = search.HillClimb{}
 var _ algo.CtxScheduler = search.Anneal{}
 var _ algo.CtxScheduler = search.Genetic{}

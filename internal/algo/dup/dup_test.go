@@ -64,7 +64,7 @@ func fanOutInstance(t *testing.T) *sched.Instance {
 
 func TestDuplicationBeatsHEFTOnFanOut(t *testing.T) {
 	in := fanOutInstance(t)
-	heft, _ := listsched.HEFT{}.Schedule(in)
+	heft, _ := listsched.HEFT().Schedule(in)
 	dsh, err := DSH{}.Schedule(in)
 	if err != nil {
 		t.Fatal(err)

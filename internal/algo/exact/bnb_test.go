@@ -117,8 +117,8 @@ func TestBudgetExhaustion(t *testing.T) {
 // No heuristic may ever beat the proven optimum.
 func TestHeuristicsNeverBeatOptimal(t *testing.T) {
 	algs := []algo.Algorithm{
-		listsched.HEFT{}, listsched.CPOP{}, listsched.DLS{}, listsched.MCP{},
-		listsched.ETF{}, listsched.HLFET{}, listsched.ISH{},
+		listsched.HEFT(), listsched.CPOP(), listsched.DLS{}, listsched.MCP{},
+		listsched.ETF(), listsched.HLFET(), listsched.ISH{},
 		dup.DSH{}, dup.BTDH{},
 		core.New(), core.NoDuplication(), core.NoLookahead(), core.RankOnly(),
 	}
@@ -151,7 +151,7 @@ func TestOptimalNeverWorseThanHEFT(t *testing.T) {
 		if err != nil || !proven {
 			t.Fatalf("trial %d: %v proven=%v", trial, err, proven)
 		}
-		h, _ := listsched.HEFT{}.Schedule(in)
+		h, _ := listsched.HEFT().Schedule(in)
 		if opt > h.Makespan()+1e-6 {
 			t.Fatalf("trial %d: optimum %g worse than HEFT %g", trial, opt, h.Makespan())
 		}

@@ -33,7 +33,7 @@ func TestCPOPPinsCriticalPath(t *testing.T) {
 			best, bestCost = p, sum
 		}
 	}
-	s, err := CPOP{}.Schedule(in)
+	s, err := CPOP().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestETFPicksGloballyEarliestStart(t *testing.T) {
 	// Two processors; root on either. After root (finish 1): fast can
 	// start at 1 anywhere; slow must wait for 51 remotely or 1 locally.
 	in := sched.Consistent(g, platform.Homogeneous(2, 0, 1))
-	s, err := ETF{}.Schedule(in)
+	s, err := ETF().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestHLFETOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	sl := sched.StaticLevel(one)
-	s, err := HLFET{}.Schedule(one)
+	s, err := HLFET().Schedule(one)
 	if err != nil {
 		t.Fatal(err)
 	}

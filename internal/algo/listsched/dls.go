@@ -1,6 +1,8 @@
 package listsched
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"dagsched/internal/algo"
@@ -24,11 +26,21 @@ type DLS struct{}
 func (DLS) Name() string { return "DLS" }
 
 // Schedule implements algo.Algorithm.
-func (DLS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (d DLS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return d.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler: every step scans all
+// ready (task, processor) pairs, so the step loop polls the context.
+func (DLS) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	sl := sched.StaticLevel(in)
 	pl := sched.NewPlan(in)
 	rl := algo.NewReadyList(in.G)
+	check := algo.NewCheckpoint(ctx, 64)
 	for !rl.Empty() {
+		if err := check.Check(); err != nil {
+			return nil, fmt.Errorf("DLS: %w", err)
+		}
 		bestDL := math.Inf(-1)
 		var bestTask dag.TaskID = -1
 		bestProc, bestStart := 0, 0.0

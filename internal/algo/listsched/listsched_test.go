@@ -12,7 +12,7 @@ import (
 )
 
 func all() []algo.Algorithm {
-	return []algo.Algorithm{HEFT{}, CPOP{}, DLS{}, MCP{}, ETF{}, HLFET{}, ISH{}, PETS{}, HCPT{}, LMT{}}
+	return []algo.Algorithm{HEFT(), CPOP(), DLS{}, MCP{}, ETF(), HLFET(), ISH{}, PETS{}, HCPT{}, LMT{}}
 }
 
 func TestNames(t *testing.T) {
@@ -41,7 +41,7 @@ func TestTopcuogluRanks(t *testing.T) {
 // paper's own example.
 func TestHEFTTopcuoglu(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, err := HEFT{}.Schedule(in)
+	s, err := HEFT().Schedule(in)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestHEFTTopcuoglu(t *testing.T) {
 // TestCPOPTopcuoglu reproduces the published CPOP makespan of 86.
 func TestCPOPTopcuoglu(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, err := CPOP{}.Schedule(in)
+	s, err := CPOP().Schedule(in)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestHEFTUsesInsertion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := HEFT{}.Schedule(in)
+	s, err := HEFT().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestISHEqualsHLFETOnChains(t *testing.T) {
 		prev = id
 	}
 	in := sched.Consistent(b.MustBuild(), platform.Homogeneous(2, 0, 1))
-	s1, _ := HLFET{}.Schedule(in)
+	s1, _ := HLFET().Schedule(in)
 	s2, _ := ISH{}.Schedule(in)
 	if s1.Makespan() != s2.Makespan() {
 		t.Fatalf("HLFET %g vs ISH %g on a chain", s1.Makespan(), s2.Makespan())

@@ -1,6 +1,8 @@
 package listsched
 
 import (
+	"context"
+	"fmt"
 	"sort"
 
 	"dagsched/internal/algo"
@@ -20,7 +22,12 @@ type MCP struct{}
 func (MCP) Name() string { return "MCP" }
 
 // Schedule implements algo.Algorithm.
-func (MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (m MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return m.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (MCP) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	alap := sched.ALAPStart(in)
 	// Successor ALAP lists for lexicographic tie-breaking.
 	succALAP := make([][]float64, in.N())
@@ -64,7 +71,11 @@ func (MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 	}
 	pl := sched.NewPlan(in)
 	q := algo.NewReadyQueue(in.G, prio, nil)
+	check := algo.NewCheckpoint(ctx, 64)
 	for !q.Empty() {
+		if err := check.Check(); err != nil {
+			return nil, fmt.Errorf("MCP: %w", err)
+		}
 		pick := q.Pop()
 		// Earliest insertion-based start; finish breaks start ties on
 		// heterogeneous systems.

@@ -1,3 +1,9 @@
+// Package listsched implements the classic list-scheduling baselines of
+// the static-scheduling literature: HEFT, CPOP and DLS for heterogeneous
+// systems, and MCP, ETF, HLFET and ISH, which originate in the homogeneous
+// literature but are implemented here against the general heterogeneous
+// cost model (on a homogeneous system they reduce to their original
+// definitions).
 package listsched
 
 import (
@@ -11,16 +17,15 @@ import (
 	"dagsched/internal/sched"
 )
 
-// This file factors the classic list schedulers into their orthogonal
-// components, following the decomposition of the parameterized-scheduler
-// literature (arXiv:2403.07112): a list scheduler is a priority metric ×
-// a consumption order × a processor-selection rule × an insertion policy
-// × a duplication policy. Param composes one scheduler per point of that
-// grid; the four canonical baselines are exact grid points (HEFTParam,
-// CPOPParam, HLFETParam, ETFParam reproduce HEFT, CPOP, HLFET and ETF
-// bit-identically — proven against the goldens by param_test.go), so the
-// adversarial harness and the E23 ablation can attack components rather
-// than whole algorithms.
+// A list scheduler is a priority metric × a consumption order × a
+// processor-selection rule × an insertion policy × a duplication policy,
+// following the decomposition of the parameterized-scheduler literature
+// (arXiv:2403.07112). Param composes one scheduler per point of that
+// grid, and HEFT, CPOP, HLFET and ETF are named grid points: every one of
+// them runs Param's placement loop (PlaceRest), so the adversarial
+// harness and the E23 ablation attack components rather than whole
+// algorithms, and the streaming engine re-plans with the very loop the
+// static scheduler runs.
 
 // Priority selects the task-priority metric.
 type Priority int
@@ -80,47 +85,56 @@ type Param struct {
 	// transaction with algo.TryDuplication and the winner's duplicates
 	// are committed. None of the four baselines uses it.
 	Duplication bool
-	// DisplayName overrides the canonical Name() (e.g. "HEFT*" for the
-	// equivalence tests).
+	// DisplayName overrides the canonical Name(): the named constructors
+	// set "HEFT", "CPOP", "HLFET" or "ETF".
 	DisplayName string
 }
 
-// HEFTParam is the grid point reproducing HEFT bit-identically.
-func HEFTParam() Param {
-	return Param{Priority: PrioUpward, Order: OrderStatic, Select: SelectEFT, Insertion: true}
+// HEFT is the Heterogeneous Earliest Finish Time algorithm of Topcuoglu,
+// Hariri and Wu (TPDS 2002): tasks ordered by decreasing upward rank,
+// each placed on the processor minimizing its insertion-based earliest
+// finish time.
+func HEFT() Param {
+	return Param{Priority: PrioUpward, Order: OrderStatic, Select: SelectEFT, Insertion: true, DisplayName: "HEFT"}
 }
 
-// CPOPParam is the grid point reproducing CPOP bit-identically.
-func CPOPParam() Param {
-	return Param{Priority: PrioUpDown, Order: OrderReady, Select: SelectCPPin, Insertion: true}
+// CPOP is the Critical-Path-On-a-Processor algorithm of Topcuoglu et
+// al.: task priority is rank_u + rank_d; every critical-path task is
+// pinned to the single processor that minimizes the critical path's
+// total execution cost, all other tasks use insertion-based best EFT;
+// tasks are consumed from a ready queue in priority order.
+func CPOP() Param {
+	return Param{Priority: PrioUpDown, Order: OrderReady, Select: SelectCPPin, Insertion: true, DisplayName: "CPOP"}
 }
 
-// HLFETParam is the grid point reproducing HLFET bit-identically.
-func HLFETParam() Param {
-	return Param{Priority: PrioStaticLevel, Order: OrderReady, Select: SelectEST}
+// HLFET is Highest Level First with Estimated Times (Adam, Chandy,
+// Dickson 1974), the archetypal list scheduler: ready tasks are consumed
+// in decreasing static level and placed on the processor giving the
+// earliest start time, without insertion.
+func HLFET() Param {
+	return Param{Priority: PrioStaticLevel, Order: OrderReady, Select: SelectEST, DisplayName: "HLFET"}
 }
 
-// ETFParam is the grid point reproducing ETF bit-identically.
-func ETFParam() Param {
-	return Param{Priority: PrioStaticLevel, Order: OrderPair, Select: SelectEST}
+// ETF is the Earliest Time First algorithm of Hwang, Chow, Anger and Lee
+// (SIAM J. Comput. 1989): at each step, among all ready tasks and all
+// processors, schedule the pair with the smallest earliest start time,
+// breaking ties by the higher static level. Non-insertion, per the
+// original definition.
+func ETF() Param {
+	return Param{Priority: PrioStaticLevel, Order: OrderPair, Select: SelectEST, DisplayName: "ETF"}
 }
 
 var prioNames = map[Priority]string{PrioUpward: "u", PrioStaticLevel: "sl", PrioUpDown: "ud"}
 var orderNames = map[Order]string{OrderStatic: "static", OrderReady: "ready", OrderPair: "pair"}
 var selNames = map[Select]string{SelectEFT: "eft", SelectEST: "est", SelectCPPin: "cppin"}
+var insNames = map[bool]string{true: "ins", false: "noins"}
+var dupNames = map[bool]string{true: "dup", false: "nodup"}
 
 // String returns the canonical grid-point name, e.g.
 // "LS/u/static/eft/ins/nodup".
 func (pm Param) String() string {
-	ins, dup := "noins", "nodup"
-	if pm.Insertion {
-		ins = "ins"
-	}
-	if pm.Duplication {
-		dup = "dup"
-	}
-	return fmt.Sprintf("LS/%s/%s/%s/%s/%s",
-		prioNames[pm.Priority], orderNames[pm.Order], selNames[pm.Select], ins, dup)
+	return fmt.Sprintf("LS/%s/%s/%s/%s/%s", prioNames[pm.Priority], orderNames[pm.Order],
+		selNames[pm.Select], insNames[pm.Insertion], dupNames[pm.Duplication])
 }
 
 // Name implements algo.Algorithm.
@@ -139,48 +153,34 @@ func ParseParam(name string) (Param, error) {
 		return Param{}, fmt.Errorf("listsched: bad param name %q (want LS/prio/order/select/ins/dup)", name)
 	}
 	var pm Param
-	ok := false
-	for k, v := range prioNames {
-		if v == parts[1] {
-			pm.Priority, ok = k, true
-		}
+	var err error
+	if pm.Priority, err = component(prioNames, parts[1], "priority", "u|sl|ud"); err != nil {
+		return Param{}, err
 	}
-	if !ok {
-		return Param{}, fmt.Errorf("listsched: unknown priority %q (u|sl|ud)", parts[1])
+	if pm.Order, err = component(orderNames, parts[2], "order", "static|ready|pair"); err != nil {
+		return Param{}, err
 	}
-	ok = false
-	for k, v := range orderNames {
-		if v == parts[2] {
-			pm.Order, ok = k, true
-		}
+	if pm.Select, err = component(selNames, parts[3], "selection", "eft|est|cppin"); err != nil {
+		return Param{}, err
 	}
-	if !ok {
-		return Param{}, fmt.Errorf("listsched: unknown order %q (static|ready|pair)", parts[2])
+	if pm.Insertion, err = component(insNames, parts[4], "insertion flag", "ins|noins"); err != nil {
+		return Param{}, err
 	}
-	ok = false
-	for k, v := range selNames {
-		if v == parts[3] {
-			pm.Select, ok = k, true
-		}
-	}
-	if !ok {
-		return Param{}, fmt.Errorf("listsched: unknown selection %q (eft|est|cppin)", parts[3])
-	}
-	switch parts[4] {
-	case "ins":
-		pm.Insertion = true
-	case "noins":
-	default:
-		return Param{}, fmt.Errorf("listsched: unknown insertion flag %q (ins|noins)", parts[4])
-	}
-	switch parts[5] {
-	case "dup":
-		pm.Duplication = true
-	case "nodup":
-	default:
-		return Param{}, fmt.Errorf("listsched: unknown duplication flag %q (dup|nodup)", parts[5])
+	if pm.Duplication, err = component(dupNames, parts[5], "duplication flag", "dup|nodup"); err != nil {
+		return Param{}, err
 	}
 	return pm, nil
+}
+
+// component returns the setting named s.
+func component[K comparable](names map[K]string, s, what, want string) (K, error) {
+	for k, v := range names {
+		if v == s {
+			return k, nil
+		}
+	}
+	var zero K
+	return zero, fmt.Errorf("listsched: unknown %s %q (%s)", what, s, want)
 }
 
 // Grid returns the component grid swept by the E23 ablation: the full
@@ -188,7 +188,8 @@ func ParseParam(name string) (Param, error) {
 // × insertion × duplication, plus the coupled selection rules at their
 // meaningful settings — pair order per priority and critical-path
 // pinning at the CPOP priority. Every returned Param is a valid
-// scheduler; the four canonical baselines are among them.
+// scheduler; the settings of the four canonical baselines are among
+// them (without their display names).
 func Grid() []Param {
 	var out []Param
 	for _, pr := range []Priority{PrioUpward, PrioStaticLevel, PrioUpDown} {
@@ -204,7 +205,7 @@ func Grid() []Param {
 		out = append(out, Param{Priority: pr, Order: OrderPair, Select: SelectEST})
 	}
 	out = append(out,
-		CPOPParam(),
+		Param{Priority: PrioUpDown, Order: OrderReady, Select: SelectCPPin, Insertion: true},
 		Param{Priority: PrioUpDown, Order: OrderReady, Select: SelectCPPin, Insertion: true, Duplication: true},
 	)
 	return out
@@ -218,55 +219,91 @@ func (pm Param) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 	return pm.ScheduleContext(context.Background(), in)
 }
 
-// ScheduleContext implements algo.CtxScheduler. Each grid point follows
-// exactly the code path of the baseline it generalizes, so grid points
-// coinciding with HEFT/CPOP/HLFET/ETF are bit-identical to them.
+// ScheduleContext implements algo.CtxScheduler: PlaceRest on an empty
+// plan at clock zero.
 func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
-	prio := pm.priorities(in)
 	pl := sched.NewPlan(in)
-	check := algo.NewCheckpoint(ctx, 64)
+	if err := pm.PlaceRest(ctx, pl, pm.PriorityVector(in), nil, 0); err != nil {
+		return nil, err
+	}
+	return pl.Finalize(pm.Name()), nil
+}
+
+// PlaceRest places every task pl does not hold yet under the grid
+// point's order and selection rules, with each task's data-ready time
+// floored at clock so no placement starts before it. Held tasks keep
+// their placements and are consumed as if just placed; their
+// predecessors must be held too, as in any frozen prefix. prio is the
+// priority vector: PriorityVector's, or an exact incremental repair of
+// it. A non-nil order replaces the Order component: it must list exactly
+// the unheld tasks, each after its unheld predecessors. The streaming
+// engine seals by running PlaceRest on a plan seeded with its frozen
+// prefix, so at a zero clock the sealed stream is this scheduler
+// (DESIGN.md invariant 13). Duplicating points place at clock zero only.
+func (pm Param) PlaceRest(ctx context.Context, pl *sched.Plan, prio []float64, order []dag.TaskID, clock float64) error {
+	in := pl.Instance()
 	var cp *cpState
 	if pm.Select == SelectCPPin {
 		cp = newCPState(in)
 	}
 	var ds *dupState
 	if pm.Duplication {
+		if clock != 0 {
+			return fmt.Errorf("%s: duplicates cannot be placed past a clock", pm.Name())
+		}
 		ds = newDupState(pl)
 		defer ds.Close()
 	}
-
-	step := func(t dag.TaskID) {
-		pm.place(pl, ds, cp, t)
+	check := algo.NewCheckpoint(ctx, 64)
+	step := func(t dag.TaskID) error {
+		if err := check.Check(); err != nil {
+			return fmt.Errorf("%s: %w", pm.Name(), err)
+		}
+		pm.place(pl, ds, cp, t, clock)
+		return nil
 	}
 
-	switch pm.Order {
-	case OrderStatic:
-		for _, t := range staticOrder(in.G, prio) {
-			if err := check.Check(); err != nil {
-				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
+	if order == nil && pm.Order == OrderStatic {
+		order = staticOrder(in.G, prio)
+	}
+	switch {
+	case order != nil:
+		for _, t := range order {
+			if pl.Scheduled(t) {
+				continue
 			}
-			step(t)
+			if err := step(t); err != nil {
+				return err
+			}
 		}
-	case OrderReady:
+	case pm.Order == OrderReady:
 		q := algo.NewReadyQueue(in.G, prio, nil)
 		for !q.Empty() {
-			if err := check.Check(); err != nil {
-				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
+			if t := q.Pop(); !pl.Scheduled(t) {
+				if err := step(t); err != nil {
+					return err
+				}
 			}
-			step(q.Pop())
 		}
-	case OrderPair:
+	case pm.Order == OrderPair:
+		// Held tasks never enter the pair competition; their predecessors
+		// are held too, so retiring them in topological order is exact.
 		rl := algo.NewReadyList(in.G)
+		for _, t := range in.G.TopoOrder() {
+			if pl.Scheduled(t) {
+				rl.Complete(t)
+			}
+		}
 		for !rl.Empty() {
 			if err := check.Check(); err != nil {
-				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
+				return fmt.Errorf("%s: %w", pm.Name(), err)
 			}
 			bestStart := math.Inf(1)
 			var bestTask dag.TaskID = -1
 			bestProc := 0
 			for _, t := range rl.Ready() {
 				for p := 0; p < in.P(); p++ {
-					start, _ := pl.EFTOn(t, p, pm.Insertion)
+					start, _ := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
 					better := start < bestStart ||
 						(start == bestStart && bestTask != -1 && prio[t] > prio[bestTask])
 					if better {
@@ -282,56 +319,30 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 			rl.Complete(bestTask)
 		}
 	default:
-		return nil, fmt.Errorf("listsched: unknown order %d", pm.Order)
+		return fmt.Errorf("listsched: unknown order %d", pm.Order)
 	}
-	return pl.Finalize(pm.Name()), nil
+	return nil
 }
 
 // staticOrder fixes the full scheduling order up front: greedily emit
 // the highest-priority task whose predecessors were all emitted, ties
 // toward the earlier topological position. For priorities that are
 // monotone along edges (upward rank, static level) this is exactly
-// algo.OrderDescPrecedence — the HEFT order, bit for bit (the
-// equivalence tests pin it) — while staying precedence-valid for
-// non-monotone metrics like rank_u + rank_d, which a global sort is not.
+// algo.OrderDescPrecedence — the HEFT order, bit for bit — while staying
+// precedence-valid for non-monotone metrics like rank_u + rank_d, which
+// a global sort is not.
 func staticOrder(g *dag.Graph, prio []float64) []dag.TaskID {
 	topo := g.TopoOrder()
 	pos := make([]int32, len(topo))
 	for i, v := range topo {
 		pos[v] = int32(i)
 	}
-	q := algo.NewReadyQueue(g, prio, pos)
-	order := make([]dag.TaskID, 0, len(topo))
-	for !q.Empty() {
-		order = append(order, q.Pop())
-	}
-	return order
+	return algo.PrecedenceOrder(g, prio, pos, nil)
 }
 
-// StaticOrder exposes the static consumption order for callers that
-// replay Param's placement loop outside ScheduleContext — the streaming
-// engine's seal-time re-plan must consume tasks in exactly this order to
-// stay bit-identical to the static scheduler.
-func StaticOrder(g *dag.Graph, prio []float64) []dag.TaskID {
-	return staticOrder(g, prio)
-}
-
-// CPPin exposes the critical-path pinning state of the CPOP selection
-// rule — the on-path mask and the pinned processor — computed exactly as
-// ScheduleContext computes it, for the same external replay callers.
-func CPPin(in *sched.Instance) (onCP []bool, proc int) {
-	st := newCPState(in)
-	return st.onCP, st.proc
-}
-
-// PriorityVector exposes the configured priority metric for external
-// replay callers (see StaticOrder).
+// PriorityVector computes the configured priority metric, for callers of
+// PlaceRest.
 func (pm Param) PriorityVector(in *sched.Instance) []float64 {
-	return pm.priorities(in)
-}
-
-// priorities computes the configured priority vector.
-func (pm Param) priorities(in *sched.Instance) []float64 {
 	switch pm.Priority {
 	case PrioStaticLevel:
 		return sched.StaticLevel(in)
@@ -348,16 +359,17 @@ func (pm Param) priorities(in *sched.Instance) []float64 {
 	}
 }
 
-// place chooses a processor for t under the configured selection rule
-// and places it (with duplication trials when enabled).
-func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID) {
+// place chooses a processor for t under the configured selection rule,
+// with readiness floored at clock, and places it (with duplication
+// trials when enabled).
+func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, clock float64) {
 	if cp != nil && cp.onCP[t] {
 		// Critical-path task: pinned to the CP processor.
 		if ds != nil {
 			ds.placeOn(pl, t, cp.proc)
 			return
 		}
-		s, _ := pl.EFTOn(t, cp.proc, pm.Insertion)
+		s, _ := sched.EFTFloored(pl, t, cp.proc, clock, pm.Insertion)
 		pl.Place(t, cp.proc, s)
 		return
 	}
@@ -365,24 +377,33 @@ func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID) {
 		ds.placeBest(pl, t, pm.Select == SelectEST)
 		return
 	}
-	switch pm.Select {
-	case SelectEST:
+	switch {
+	case pm.Select == SelectEST:
 		bestP, bestS := -1, 0.0
 		for p := 0; p < pl.Instance().P(); p++ {
-			s, _ := pl.EFTOn(t, p, pm.Insertion)
+			s, _ := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
 			if bestP == -1 || s < bestS {
 				bestP, bestS = p, s
 			}
 		}
 		pl.Place(t, bestP, bestS)
-	default: // SelectEFT, and SelectCPPin off the critical path
+	case clock == 0: // SelectEFT, and SelectCPPin off the critical path
 		p, s, _ := pl.BestEFT(t, pm.Insertion)
 		pl.Place(t, p, s)
+	default: // the same, floored: BestEFT has no floor
+		bestP := -1
+		bestS, bestF := math.Inf(1), math.Inf(1)
+		for p := 0; p < pl.Instance().P(); p++ {
+			s, f := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
+			if bestP == -1 || f < bestF {
+				bestP, bestS, bestF = p, s, f
+			}
+		}
+		pl.Place(t, bestP, bestS)
 	}
 }
 
-// cpState carries the CPOP critical-path pinning state, computed exactly
-// as CPOP computes it.
+// cpState carries the CPOP critical-path pinning state.
 type cpState struct {
 	onCP []bool
 	proc int

@@ -27,7 +27,7 @@ func BenchmarkReadyScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, a := range []algo.Algorithm{HLFET{}, ISH{}, CPOP{}} {
+		for _, a := range []algo.Algorithm{HLFET(), ISH{}, CPOP()} {
 			b.Run(fmt.Sprintf("%s/n%d", a.Name(), n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

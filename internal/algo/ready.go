@@ -22,16 +22,56 @@ type ReadyQueue struct {
 // A non-nil tie gives each task a distinct tie key replacing its id
 // (e.g. its topological position).
 func NewReadyQueue(g *dag.Graph, prio []float64, tie []int32) *ReadyQueue {
+	return newReadyQueue(g, prio, tie, nil)
+}
+
+// newReadyQueue is NewReadyQueue over the tasks of member (every task
+// when nil): predecessors outside the set count as scheduled, and tasks
+// outside it never enter the queue.
+func newReadyQueue(g *dag.Graph, prio []float64, tie []int32, member []bool) *ReadyQueue {
 	n := g.Len()
 	q := &ReadyQueue{g: g, prio: prio, tie: tie, pending: make([]int32, n), pos: make([]int32, n)}
 	for i := 0; i < n; i++ {
+		v := dag.TaskID(i)
 		q.pos[i] = -1
-		q.pending[i] = int32(g.InDegree(dag.TaskID(i)))
+		switch {
+		case member == nil:
+			q.pending[i] = int32(g.InDegree(v))
+		case !member[i]:
+			// One more than its predecessors can release: never enters.
+			q.pending[i] = int32(g.InDegree(v)) + 1
+			continue
+		default:
+			for _, a := range g.Pred(v) {
+				if member[a.To] {
+					q.pending[i]++
+				}
+			}
+		}
 		if q.pending[i] == 0 {
-			q.push(dag.TaskID(i))
+			q.push(v)
 		}
 	}
 	return q
+}
+
+// PrecedenceOrder returns the tasks of member (every task when member is
+// nil) in greedy precedence order: repeatedly the highest-priority task
+// whose predecessors in the set were all emitted, ties toward the lower
+// tie key (the task id when tie is nil). Predecessors outside the set
+// count as emitted. For priorities that decrease along edges, with
+// topological positions as tie keys, this is OrderDescPrecedence's
+// order; unlike a global sort it stays precedence-safe for any metric.
+func PrecedenceOrder(g *dag.Graph, prio []float64, tie []int32, member []bool) []dag.TaskID {
+	q := newReadyQueue(g, prio, tie, member)
+	var order []dag.TaskID
+	if member == nil {
+		order = make([]dag.TaskID, 0, g.Len())
+	}
+	for !q.Empty() {
+		order = append(order, q.Pop())
+	}
+	return order
 }
 
 // Empty reports whether no task is ready.

@@ -68,12 +68,21 @@ func scanPick(rl *ReadyList, prio []float64) dag.TaskID {
 
 // refStaticOrder is the linear-scan greedy order the topological tie key
 // replaces: highest priority first, ties to the earlier topological
-// position.
-func refStaticOrder(g *dag.Graph, prio []float64, pos []int32) []dag.TaskID {
+// position. A non-nil member restricts it to those tasks, counting
+// predecessors outside the set as emitted.
+func refStaticOrder(g *dag.Graph, prio []float64, pos []int32, member []bool) []dag.TaskID {
+	in := func(v dag.TaskID) bool { return member == nil || member[v] }
 	pending := make([]int, g.Len())
 	var ready []dag.TaskID
 	for i := range pending {
-		pending[i] = g.InDegree(dag.TaskID(i))
+		if !in(dag.TaskID(i)) {
+			continue
+		}
+		for _, a := range g.Pred(dag.TaskID(i)) {
+			if in(a.To) {
+				pending[i]++
+			}
+		}
 		if pending[i] == 0 {
 			ready = append(ready, dag.TaskID(i))
 		}
@@ -92,6 +101,9 @@ func refStaticOrder(g *dag.Graph, prio []float64, pos []int32) []dag.TaskID {
 		ready = ready[:len(ready)-1]
 		order = append(order, pick)
 		for _, a := range g.Succ(pick) {
+			if !in(a.To) {
+				continue
+			}
 			pending[a.To]--
 			if pending[a.To] == 0 {
 				ready = append(ready, a.To)
@@ -153,7 +165,7 @@ func TestReadyQueueTieKeyMatchesStaticOrder(t *testing.T) {
 			pos[v] = int32(i)
 		}
 		for name, prio := range readyPriorities(g, rng) {
-			want := refStaticOrder(g, prio, pos)
+			want := refStaticOrder(g, prio, pos, nil)
 			q := NewReadyQueue(g, prio, pos)
 			var got []dag.TaskID
 			for !q.Empty() {
@@ -161,6 +173,32 @@ func TestReadyQueueTieKeyMatchesStaticOrder(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d/%s: order %v, reference %v", trial, name, got, want)
+			}
+		}
+	}
+}
+
+// TestPrecedenceOrderOnSubset pins PrecedenceOrder, on every task and on
+// random subsets (the streaming engine's affected sets), against the
+// linear-scan greedy order with the same tie keys.
+func TestPrecedenceOrderOnSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(12003))
+	for trial := 0; trial < 60; trial++ {
+		g := randomReadyDAG(t, rng, 1+rng.Intn(80))
+		pos := make([]int32, g.Len())
+		for i, v := range rng.Perm(g.Len()) {
+			pos[v] = int32(i)
+		}
+		member := make([]bool, g.Len())
+		for i := range member {
+			member[i] = rng.Intn(3) > 0
+		}
+		for name, prio := range readyPriorities(g, rng) {
+			for _, m := range [][]bool{nil, member} {
+				want := refStaticOrder(g, prio, pos, m)
+				if got := PrecedenceOrder(g, prio, pos, m); !slices.Equal(got, want) {
+					t.Fatalf("trial %d/%s subset=%v: order %v, reference %v", trial, name, m != nil, got, want)
+				}
 			}
 		}
 	}

@@ -68,7 +68,6 @@ func Repair(s *sched.Schedule, f Failure) (*sched.Schedule, error) {
 	// they still fit where they were.
 	rank := sched.RankUpward(in)
 	order := algo.OrderDescPrecedence(in.G, rank)
-	var lostDups []sched.Assignment
 	for _, t := range order {
 		prim := s.Primary(t)
 		if survives(prim) {
@@ -95,19 +94,17 @@ func Repair(s *sched.Schedule, f Failure) (*sched.Schedule, error) {
 			pl.Place(t, p, st)
 		}
 		// Surviving duplicates of t are re-added opportunistically: they
-		// can only help later consumers.
+		// can only help later consumers. One that no longer fits is
+		// dropped; primaries carry correctness.
 		for _, c := range s.Copies(t) {
 			if c.Dup && survives(c) {
 				start := pl.FindSlot(c.Proc, math.Max(pl.DataReady(t, c.Proc), c.Start), in.Cost(t, c.Proc), true)
 				if !math.IsInf(start, 1) {
 					pl.PlaceDup(t, c.Proc, start)
-				} else {
-					lostDups = append(lostDups, c)
 				}
 			}
 		}
 	}
-	_ = lostDups // dropped duplicates need no replacement: primaries carry correctness
 	return pl.Finalize(s.Algorithm() + "+repair"), nil
 }
 

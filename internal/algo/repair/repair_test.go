@@ -16,7 +16,7 @@ import (
 
 func TestRepairValidation(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	if _, err := Repair(s, Failure{Proc: -1, Time: 10}); err == nil {
 		t.Fatal("negative proc accepted")
 	}
@@ -36,7 +36,7 @@ func TestRepairSingleProcRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	if _, err := Repair(s, Failure{Proc: 0, Time: 0}); err == nil {
 		t.Fatal("single-processor repair accepted")
 	}
@@ -44,7 +44,7 @@ func TestRepairSingleProcRefused(t *testing.T) {
 
 func TestRepairAtTimeZeroAvoidsProcEntirely(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	r, err := Repair(s, Failure{Proc: s.Primary(0).Proc, Time: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestRepairAtTimeZeroAvoidsProcEntirely(t *testing.T) {
 
 func TestRepairLateFailureKeepsEverything(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	// Failure after the makespan: nothing is lost, nothing moves.
 	r, imp, err := Assess(s, Failure{Proc: 1, Time: s.Makespan() + 1})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestRepairLateFailureKeepsEverything(t *testing.T) {
 
 func TestRepairMidExecution(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	// HEFT places work on all three processors; kill P2 (the CP proc
 	// carries most tasks; choose a proc with mid-schedule work).
 	fail := Failure{Proc: 0, Time: s.Makespan() / 2}
@@ -116,7 +116,7 @@ func TestRepairMidExecution(t *testing.T) {
 // Repair must produce valid schedules across the battery, for plain and
 // duplication-based schedules, at several failure times.
 func TestRepairPropertyBattery(t *testing.T) {
-	algs := []algo.Algorithm{listsched.HEFT{}, dup.BTDH{}, core.New()}
+	algs := []algo.Algorithm{listsched.HEFT(), dup.BTDH{}, core.New()}
 	rng := rand.New(rand.NewSource(12))
 	testfix.Battery(testfix.BatteryConfig{Trials: 15, MaxProcs: 5, Seed: 8001}, func(trial int, in *sched.Instance) {
 		if in.P() < 2 {

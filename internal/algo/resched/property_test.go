@@ -25,7 +25,7 @@ import (
 //  3. no copy occupies a crashed processor past its crash instant.
 func TestRepairProperties(t *testing.T) {
 	const eps = 1e-9
-	algs := []algo.Algorithm{listsched.HEFT{}, dup.BTDH{}, core.New()}
+	algs := []algo.Algorithm{listsched.HEFT(), dup.BTDH{}, core.New()}
 	testfix.Battery(testfix.BatteryConfig{Trials: 30, Seed: 77}, func(trial int, in *sched.Instance) {
 		if in.P() < 2 {
 			return // a single-processor platform has no survivors to repair onto
@@ -98,7 +98,7 @@ func TestRepairedScheduleReplays(t *testing.T) {
 		if in.P() < 2 {
 			return
 		}
-		s, err := listsched.HEFT{}.Schedule(in)
+		s, err := listsched.HEFT().Schedule(in)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -14,7 +14,7 @@ import (
 
 func heftTopcuoglu(t *testing.T) *sched.Schedule {
 	t.Helper()
-	s, err := listsched.HEFT{}.Schedule(testfix.Topcuoglu())
+	s, err := listsched.HEFT().Schedule(testfix.Topcuoglu())
 	if err != nil {
 		t.Fatal(err)
 	}

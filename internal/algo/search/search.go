@@ -54,7 +54,7 @@ func makespan(in *sched.Instance, s solution) float64 {
 // seedSolution derives the starting point from HEFT: upward-rank
 // priorities and HEFT's processor assignment.
 func seedSolution(in *sched.Instance) (solution, error) {
-	heft, err := listsched.HEFT{}.Schedule(in)
+	heft, err := listsched.HEFT().Schedule(in)
 	if err != nil {
 		return solution{}, err
 	}

@@ -45,7 +45,7 @@ func TestNeverWorseThanHEFTSeed(t *testing.T) {
 		Genetic{Pop: 12, Gens: 15},
 	}
 	testfix.Battery(testfix.BatteryConfig{Trials: 12, MaxTasks: 30, Seed: 3002}, func(trial int, in *sched.Instance) {
-		heft, _ := listsched.HEFT{}.Schedule(in)
+		heft, _ := listsched.HEFT().Schedule(in)
 		for _, a := range algs {
 			s, err := a.Schedule(in)
 			if err != nil {
@@ -64,7 +64,7 @@ func TestNeverWorseThanHEFTSeed(t *testing.T) {
 func TestSearchImprovesOnAverage(t *testing.T) {
 	var heftSum, hcSum float64
 	testfix.Battery(testfix.BatteryConfig{Trials: 15, MaxTasks: 30, Seed: 3003}, func(trial int, in *sched.Instance) {
-		heft, _ := listsched.HEFT{}.Schedule(in)
+		heft, _ := listsched.HEFT().Schedule(in)
 		hc, err := HillClimb{Iters: 400}.Schedule(in)
 		if err != nil {
 			t.Fatal(err)

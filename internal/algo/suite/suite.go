@@ -6,6 +6,7 @@ package suite
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"dagsched/internal/algo"
 	"dagsched/internal/algo/cluster"
@@ -24,15 +25,15 @@ func All() []algo.Algorithm {
 		core.NoDuplication(),
 		core.NoLookahead(),
 		core.RankOnly(),
-		listsched.HEFT{},
-		listsched.CPOP{},
+		listsched.HEFT(),
+		listsched.CPOP(),
 		listsched.DLS{},
 		listsched.HCPT{},
 		listsched.PETS{},
 		listsched.LMT{},
 		listsched.MCP{},
-		listsched.ETF{},
-		listsched.HLFET{},
+		listsched.ETF(),
+		listsched.HLFET(),
 		listsched.ISH{},
 		dup.DSH{},
 		dup.BTDH{},
@@ -61,8 +62,8 @@ func Search() []algo.Algorithm {
 func Heterogeneous() []algo.Algorithm {
 	return []algo.Algorithm{
 		core.New(),
-		listsched.HEFT{},
-		listsched.CPOP{},
+		listsched.HEFT(),
+		listsched.CPOP(),
 		listsched.DLS{},
 		dup.DSH{},
 		dup.BTDH{},
@@ -75,8 +76,8 @@ func Homogeneous() []algo.Algorithm {
 	return []algo.Algorithm{
 		core.New(),
 		listsched.MCP{},
-		listsched.ETF{},
-		listsched.HLFET{},
+		listsched.ETF(),
+		listsched.HLFET(),
 		listsched.ISH{},
 		dup.DSH{},
 		dup.BTDH{},
@@ -91,13 +92,21 @@ func Ablation() []algo.Algorithm {
 		core.NoDuplication(),
 		core.NoLookahead(),
 		core.RankOnly(),
-		listsched.HEFT{},
+		listsched.HEFT(),
 	}
 }
 
 // ByName looks an algorithm up by its display name (case-sensitive),
-// searching the heuristics and the search-based schedulers.
+// searching the heuristics and the search-based schedulers, or parses a
+// listsched grid-point name ("LS/u/static/eft/ins/nodup").
 func ByName(name string) (algo.Algorithm, error) {
+	if strings.HasPrefix(name, "LS/") {
+		pm, err := listsched.ParseParam(name)
+		if err != nil {
+			return nil, err
+		}
+		return pm, nil
+	}
 	for _, a := range append(All(), Search()...) {
 		if a.Name() == name {
 			return a, nil

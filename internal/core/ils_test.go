@@ -73,7 +73,7 @@ func TestPlainVariantEqualsHEFT(t *testing.T) {
 	plain := Variant("plain", Options{})
 	testfix.Battery(testfix.BatteryConfig{Trials: 25, Seed: 909}, func(trial int, in *sched.Instance) {
 		a, _ := plain.Schedule(in)
-		b, _ := listsched.HEFT{}.Schedule(in)
+		b, _ := listsched.HEFT().Schedule(in)
 		if a.Makespan() != b.Makespan() {
 			t.Fatalf("trial %d: plain ILS %g != HEFT %g", trial, a.Makespan(), b.Makespan())
 		}
@@ -93,7 +93,7 @@ func TestRankOnlyEqualsHEFTOnHomogeneous(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, _ := RankOnly().Schedule(in)
-		b, _ := listsched.HEFT{}.Schedule(in)
+		b, _ := listsched.HEFT().Schedule(in)
 		if a.Makespan() != b.Makespan() {
 			t.Fatalf("trial %d: ILS-R %g != HEFT %g on homogeneous system", trial, a.Makespan(), b.Makespan())
 		}
@@ -107,7 +107,7 @@ func TestILSBeatsHEFTOnAverage(t *testing.T) {
 	var ilsSum, heftSum float64
 	testfix.Battery(testfix.BatteryConfig{Trials: 60, MaxTasks: 60, MaxProcs: 8, Seed: 1001}, func(trial int, in *sched.Instance) {
 		a, _ := New().Schedule(in)
-		b, _ := listsched.HEFT{}.Schedule(in)
+		b, _ := listsched.HEFT().Schedule(in)
 		ilsSum += a.Makespan() / in.CPMin()
 		heftSum += b.Makespan() / in.CPMin()
 		switch {

@@ -19,12 +19,12 @@ type advPair struct {
 // the attacker beats the victim by as much as possible.
 func advPairs(quick bool) []advPair {
 	pairs := []advPair{
-		{core.New(), listsched.HEFT{}},
-		{listsched.HEFT{}, listsched.CPOP{}},
-		{listsched.HEFT{}, listsched.HLFET{}},
-		{listsched.HEFT{}, listsched.ETF{}},
-		{core.New(), listsched.CPOP{}},
-		{listsched.HEFT{}, listsched.MCP{}},
+		{core.New(), listsched.HEFT()},
+		{listsched.HEFT(), listsched.CPOP()},
+		{listsched.HEFT(), listsched.HLFET()},
+		{listsched.HEFT(), listsched.ETF()},
+		{core.New(), listsched.CPOP()},
+		{listsched.HEFT(), listsched.MCP{}},
 	}
 	if quick {
 		return pairs[:3]
@@ -85,17 +85,20 @@ func e23Grid(quick bool) []listsched.Param {
 	if !quick {
 		return listsched.Grid()
 	}
-	heft := listsched.HEFTParam()
-	noIns := heft
+	heft := listsched.HEFT()
+	// The variants are other grid points: they must not keep HEFT's name.
+	setting := heft
+	setting.DisplayName = ""
+	noIns := setting
 	noIns.Insertion = false
-	est := heft
+	est := setting
 	est.Select = listsched.SelectEST
-	sl := heft
+	sl := setting
 	sl.Priority = listsched.PrioStaticLevel
-	dup := heft
+	dup := setting
 	dup.Duplication = true
 	return []listsched.Param{
-		heft, listsched.CPOPParam(), listsched.HLFETParam(), listsched.ETFParam(),
+		heft, listsched.CPOP(), listsched.HLFET(), listsched.ETF(),
 		noIns, est, sl, dup,
 	}
 }
@@ -112,7 +115,7 @@ func E23() Experiment {
 		heftIdx := -1
 		for i, pm := range grid {
 			algs[i] = pm
-			if pm == listsched.HEFTParam() {
+			if pm.String() == listsched.HEFT().String() {
 				heftIdx = i
 			}
 		}
@@ -135,7 +138,7 @@ func E23() Experiment {
 			})
 		}
 		t.Notes = fmt.Sprintf("Mean SLR over %d random DAGs; Δ is relative to the HEFT component setting %s (negative = better than HEFT).",
-			reps, listsched.HEFTParam())
+			reps, listsched.HEFT())
 		return []*Table{t}, nil
 	}}
 }

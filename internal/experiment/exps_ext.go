@@ -21,7 +21,7 @@ func E14() Experiment {
 	return Experiment{ID: "E14", Title: "Extended lineup: ILS vs HCPT/PETS/LMT (SLR vs CCR)", Run: func(cfg Config) ([]*Table, error) {
 		algs := []algo.Algorithm{
 			core.New(),
-			listsched.HEFT{},
+			listsched.HEFT(),
 			listsched.HCPT{},
 			listsched.PETS{},
 			listsched.LMT{},
@@ -50,7 +50,7 @@ func E14() Experiment {
 func E15() Experiment {
 	return Experiment{ID: "E15", Title: "Search-based vs list scheduling (quality and cost)", Run: func(cfg Config) ([]*Table, error) {
 		algs := []algo.Algorithm{
-			listsched.HEFT{},
+			listsched.HEFT(),
 			core.New(),
 			search.HillClimb{Iters: 500},
 			search.Anneal{Iters: 800},
@@ -105,7 +105,7 @@ func E15() Experiment {
 func E16() Experiment {
 	return Experiment{ID: "E16", Title: "One-port contention: replayed stretch", Run: func(cfg Config) ([]*Table, error) {
 		var algs []algo.Algorithm
-		for _, a := range []algo.Algorithm{listsched.HEFT{}, core.New(), dup.BTDH{}} {
+		for _, a := range []algo.Algorithm{listsched.HEFT(), core.New(), dup.BTDH{}} {
 			algs = append(algs, a, algo.CommAware{Inner: a})
 		}
 		reps := cfg.reps(25)
@@ -164,8 +164,8 @@ func E16() Experiment {
 func E20() Experiment {
 	return Experiment{ID: "E20", Title: "Communication-model sweep: replayed makespan", Run: func(cfg Config) ([]*Table, error) {
 		algs := []algo.Algorithm{
-			listsched.HEFT{},
-			algo.CommAware{Inner: listsched.HEFT{}, DisplayName: "C-HEFT"},
+			listsched.HEFT(),
+			algo.CommAware{Inner: listsched.HEFT(), DisplayName: "C-HEFT"},
 			core.New(),
 			algo.CommAware{Inner: core.New(), DisplayName: "C-ILS"},
 		}

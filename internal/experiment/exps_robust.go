@@ -24,7 +24,7 @@ func E21() Experiment {
 	return Experiment{ID: "E21", Title: "Fault robustness: completion and repaired degradation under crash rates", Run: func(cfg Config) ([]*Table, error) {
 		algs := []algo.Algorithm{
 			core.New(),
-			listsched.HEFT{},
+			listsched.HEFT(),
 			dup.DSH{},
 			dup.BTDH{},
 		}

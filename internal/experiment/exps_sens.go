@@ -52,8 +52,8 @@ func E18() Experiment {
 	return Experiment{ID: "E18", Title: "Link heterogeneity: SLR vs link spread", Run: func(cfg Config) ([]*Table, error) {
 		algs := []algo.Algorithm{
 			core.New(),
-			listsched.HEFT{},
-			listsched.CPOP{},
+			listsched.HEFT(),
+			listsched.CPOP(),
 			listsched.DLS{},
 		}
 		spreads := []float64{0, 0.5, 1.0, 1.5}

@@ -14,7 +14,7 @@ import (
 func topcuogluHEFT(t *testing.T) *sched.Schedule {
 	t.Helper()
 	in := testfix.Topcuoglu()
-	s, err := listsched.HEFT{}.Schedule(in)
+	s, err := listsched.HEFT().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSpeedupAndEfficiency(t *testing.T) {
 
 func TestEvaluate(t *testing.T) {
 	in := testfix.Topcuoglu()
-	res, err := Evaluate(listsched.HEFT{}, in)
+	res, err := Evaluate(listsched.HEFT(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSLRDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := listsched.HEFT{}.Schedule(in)
+	s, err := listsched.HEFT().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}

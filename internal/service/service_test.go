@@ -44,7 +44,7 @@ func (s *slowAlg) ScheduleContext(ctx context.Context, in *sched.Instance) (*sch
 		return nil, fmt.Errorf("%s: %w", s.name, ctx.Err())
 	case <-t.C:
 	}
-	sch, err := listsched.HEFT{}.Schedule(in)
+	sch, err := listsched.HEFT().Schedule(in)
 	if err != nil {
 		return nil, err
 	}

@@ -173,6 +173,65 @@ func TestStreamEndpointMatchesStatic(t *testing.T) {
 	}
 }
 
+// TestGridNameSameScheduleOnEverySurface: an "LS/..." grid-point name
+// resolves on the single, batch and stream endpoints alike, and all
+// three give the same schedule, placement for placement. A malformed
+// grid name is a 400.
+func TestGridNameSameScheduleOnEverySurface(t *testing.T) {
+	const name = "LS/ud/ready/est/noins/nodup"
+	_, c := startServer(t, service.Options{Workers: 2, QueueDepth: 16, CacheSize: -1})
+	type placement struct {
+		proc          int
+		start, finish float64
+	}
+	req := service.ScheduleRequest{Algorithm: name, Graph: streamTestGraphJSON(t), Processors: 3}
+	single, err := c.Schedule(context.Background(), req)
+	if err != nil {
+		t.Fatalf("single: %v", err)
+	}
+	want := map[int]placement{}
+	for _, a := range single.Assignments {
+		if a.Dup {
+			t.Fatalf("non-duplicating grid point returned a duplicate: %+v", a)
+		}
+		want[a.Task] = placement{a.Proc, a.Start, a.Finish}
+	}
+	if len(want) != len(streamTestWeights) {
+		t.Fatalf("single: %d placements, want %d", len(want), len(streamTestWeights))
+	}
+
+	batch, err := c.ScheduleBatch(context.Background(), service.BatchRequest{Items: []service.ScheduleRequest{req}})
+	if err != nil || batch.Items[0].Response == nil {
+		t.Fatalf("batch: %v %+v", err, batch)
+	}
+	for _, a := range batch.Items[0].Response.Assignments {
+		if want[a.Task] != (placement{a.Proc, a.Start, a.Finish}) {
+			t.Errorf("batch task %d: %+v, single %+v", a.Task, a, want[a.Task])
+		}
+	}
+
+	status, lines := postStream(t, c.BaseURL, streamTestEvents(t,
+		`{"op":"config","algorithm":"`+name+`","processors":3,"batchSize":3,"finalAssignments":true}`))
+	if status != http.StatusOK || len(lines) == 0 || !lines[len(lines)-1].Sealed {
+		t.Fatalf("stream status %d, lines %+v", status, lines)
+	}
+	sealed := lines[len(lines)-1]
+	if len(sealed.Placed) != len(want) {
+		t.Fatalf("sealed delta carries %d placements, want %d", len(sealed.Placed), len(want))
+	}
+	for _, p := range sealed.Placed {
+		if want[p.Task] != (placement{p.Proc, p.Start, p.Finish}) {
+			t.Errorf("stream task %d: %+v, single %+v", p.Task, p, want[p.Task])
+		}
+	}
+
+	bad := req
+	bad.Algorithm = "LS/u/static/eft/maybe/nodup"
+	if _, err := c.Schedule(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("malformed grid name: err = %v, want HTTP 400", err)
+	}
+}
+
 // TestStreamEndpointValidation drives malformed sessions through the
 // endpoint: each must answer 400 (the error precedes any delta) with a
 // diagnostic, and the server must keep serving afterwards.

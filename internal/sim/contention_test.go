@@ -13,7 +13,7 @@ import (
 
 func TestContentionNeverShortensMakespan(t *testing.T) {
 	testfix.Battery(testfix.BatteryConfig{Trials: 20, Seed: 4001}, func(trial int, in *sched.Instance) {
-		s, err := listsched.HEFT{}.Schedule(in)
+		s, err := listsched.HEFT().Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestContentionSerializesBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := listsched.HEFT{}.Schedule(in)
+	s, err := listsched.HEFT().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestContentionNoEffectOnLocalSchedules(t *testing.T) {
 		prev = id
 	}
 	in := sched.Consistent(b.MustBuild(), platform.Homogeneous(3, 0, 1))
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	contended, err := Run(s, Config{Contention: true})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestContentionNoEffectOnLocalSchedules(t *testing.T) {
 
 func TestContentionWithNoiseComposes(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	rep, err := Run(s, Config{Contention: true, Noise: 0.2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 
 func heftTopcuoglu(t *testing.T) *sched.Schedule {
 	t.Helper()
-	s, err := listsched.HEFT{}.Schedule(testfix.Topcuoglu())
+	s, err := listsched.HEFT().Schedule(testfix.Topcuoglu())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSampleCrashes(t *testing.T) {
 // error instead of indexing the cost matrix out of range.
 func TestRunProcRangeTypedError(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, err := listsched.HEFT{}.Schedule(in)
+	s, err := listsched.HEFT().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}

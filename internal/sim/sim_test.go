@@ -15,7 +15,7 @@ import (
 )
 
 func TestExactReplayMatchesAnalyticMakespan(t *testing.T) {
-	algs := []algo.Algorithm{listsched.HEFT{}, listsched.CPOP{}, dup.BTDH{}, core.New()}
+	algs := []algo.Algorithm{listsched.HEFT(), listsched.CPOP(), dup.BTDH{}, core.New()}
 	testfix.Battery(testfix.BatteryConfig{Trials: 25, Seed: 2001}, func(trial int, in *sched.Instance) {
 		for _, a := range algs {
 			s, err := a.Schedule(in)
@@ -38,7 +38,7 @@ func TestExactReplayMatchesAnalyticMakespan(t *testing.T) {
 
 func TestReplayStartsMatchSchedule(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	rep, err := Run(s, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestReplayStartsMatchSchedule(t *testing.T) {
 
 func TestNoiseChangesAndBoundsMakespan(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	rep, err := Run(s, Config{Noise: 0.3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestNoiseChangesAndBoundsMakespan(t *testing.T) {
 
 func TestUtilizationAndBusyTime(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	rep, err := Run(s, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestUtilizationAndBusyTime(t *testing.T) {
 
 func TestNoiseValidation(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s, _ := listsched.HEFT{}.Schedule(in)
+	s, _ := listsched.HEFT().Schedule(in)
 	if _, err := Run(s, Config{Noise: -0.1}); err == nil {
 		t.Fatal("negative noise accepted")
 	}

@@ -1,12 +1,13 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"dagsched/internal/algo"
 	"dagsched/internal/algo/listsched"
+	"dagsched/internal/algo/suite"
 	"dagsched/internal/dag"
 	"dagsched/internal/platform"
 	"dagsched/internal/sched"
@@ -19,10 +20,12 @@ const DefaultBatchSize = 32
 
 // Config configures an Engine.
 type Config struct {
-	// Algorithm names the list scheduler: a canonical baseline (HEFT,
-	// CPOP, HLFET, ETF; empty means HEFT) or a listsched grid point
-	// ("LS/u/static/eft/ins/nodup"). Duplicating grid points are
-	// rejected — duplicates cannot be re-planned incrementally.
+	// Algorithm names the list scheduler, resolved by ParamFor: HEFT,
+	// CPOP, HLFET or ETF (empty means HEFT), or a listsched grid point
+	// ("LS/u/static/eft/ins/nodup"). Every flush and the seal run that
+	// grid point's own placement loop, listsched.Param.PlaceRest.
+	// Duplicating grid points are rejected — duplicates cannot be
+	// re-planned incrementally.
 	Algorithm string
 	// Sys is the platform. Only the contention-free communication model
 	// is supported.
@@ -81,39 +84,25 @@ type Engine struct {
 	events int
 }
 
-// ParamFor resolves a streaming algorithm name to its listsched grid
-// point: the canonical baselines by name (empty means HEFT) or an
-// "LS/..." grid point. Duplicating points are rejected.
+// ParamFor resolves a streaming algorithm name through the registry
+// (suite.ByName; empty means HEFT) to its listsched grid point: a named
+// baseline (HEFT, CPOP, HLFET, ETF) or an "LS/..." name. Any other
+// scheduler is rejected, because only Param's loop re-plans past a
+// clock, and so are duplicating points, because duplicates cannot be
+// re-planned incrementally.
 func ParamFor(name string) (listsched.Param, error) {
-	switch name {
-	case "", "HEFT":
-		pm := listsched.HEFTParam()
-		pm.DisplayName = "HEFT"
-		return pm, nil
-	case "CPOP":
-		pm := listsched.CPOPParam()
-		pm.DisplayName = "CPOP"
-		return pm, nil
-	case "HLFET":
-		pm := listsched.HLFETParam()
-		pm.DisplayName = "HLFET"
-		return pm, nil
-	case "ETF":
-		pm := listsched.ETFParam()
-		pm.DisplayName = "ETF"
-		return pm, nil
+	if name == "" {
+		name = "HEFT"
 	}
-	if strings.HasPrefix(name, "LS/") {
-		pm, err := listsched.ParseParam(name)
-		if err != nil {
-			return listsched.Param{}, err
-		}
-		if pm.Duplication {
-			return listsched.Param{}, fmt.Errorf("stream: duplicating scheduler %q not supported (duplicates cannot be re-planned incrementally)", name)
-		}
-		return pm, nil
+	a, err := suite.ByName(name)
+	if err != nil {
+		return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm: %w", err)
 	}
-	return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF or an LS/ grid point)", name)
+	pm, ok := a.(listsched.Param)
+	if !ok || pm.Duplication {
+		return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF or a non-duplicating LS/ grid point)", name)
+	}
+	return pm, nil
 }
 
 // NewEngine returns an engine for the config.
@@ -395,7 +384,10 @@ func (e *Engine) frozenAssignments() []sched.Assignment {
 // semantics over a plan seeded with the frozen prefix.
 func (e *Engine) fullReplan(in2 *sched.Instance, prio []float64, d *Delta) error {
 	frozen := e.frozenAssignments()
-	e.pl = sealReplan(e.pm, in2, prio, frozen, e.clock)
+	e.pl = sched.SeedPlan(in2, frozen)
+	if err := e.pm.PlaceRest(context.Background(), e.pl, prio, nil, e.clock); err != nil {
+		return err
+	}
 	d.Replanned = in2.N() - len(frozen)
 	d.FullReplan = true
 	return nil
@@ -430,13 +422,9 @@ func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta
 	}
 
 	anyPlacedAffected := false
-	count := 0
 	for v := 0; v < n; v++ {
-		if affected[v] {
-			count++
-			if e.placed[v] {
-				anyPlacedAffected = true
-			}
+		if affected[v] && e.placed[v] {
+			anyPlacedAffected = true
 		}
 	}
 
@@ -460,65 +448,25 @@ func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta
 		d.FullReplan = true
 	}
 
-	var cpOn []bool
-	cpProc := 0
-	if e.pm.Select == listsched.SelectCPPin {
-		cpOn, cpProc = listsched.CPPin(in2)
+	order := orderAffected(in2.G, prio, e.ap.Positions(), affected)
+	if err := e.pm.PlaceRest(context.Background(), e.pl, prio, order, e.clock); err != nil {
+		return err
 	}
-	order := orderAffected(in2.G, prio, e.ap.Positions(), affected, count)
-	for _, t := range order {
-		placeMovable(e.pl, e.pm, cpOn, cpProc, t, e.clock)
-	}
-	d.Replanned = count
+	d.Replanned = len(order)
 	return nil
 }
 
-// orderAffected returns the affected tasks in a precedence-safe greedy
-// order: repeatedly the highest-priority task whose affected
-// predecessors were all emitted (predecessors outside the set are placed
-// already), ties toward the earlier topological position. The same
-// greedy rule as listsched's static order, restricted to the set.
-func orderAffected(g *dag.Graph, prio []float64, pos []int, affected []bool, count int) []dag.TaskID {
-	pending := make(map[dag.TaskID]int, count)
-	var ready []dag.TaskID
-	for v := 0; v < g.Len(); v++ {
-		if !affected[v] {
-			continue
-		}
-		c := 0
-		for _, p := range g.Pred(dag.TaskID(v)) {
-			if affected[p.To] {
-				c++
-			}
-		}
-		pending[dag.TaskID(v)] = c
-		if c == 0 {
-			ready = append(ready, dag.TaskID(v))
-		}
+// orderAffected returns the affected tasks in listsched's static-order
+// greedy rule restricted to the set: repeatedly the highest-priority
+// task whose affected predecessors were all emitted (predecessors
+// outside the set are placed already), ties toward the earlier position
+// in the appendable's topological order.
+func orderAffected(g *dag.Graph, prio []float64, pos []int, affected []bool) []dag.TaskID {
+	tie := make([]int32, len(pos))
+	for v, p := range pos {
+		tie[v] = int32(p)
 	}
-	order := make([]dag.TaskID, 0, count)
-	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			a, b := ready[i], ready[best]
-			if prio[a] > prio[b] || (prio[a] == prio[b] && pos[a] < pos[b]) {
-				best = i
-			}
-		}
-		pick := ready[best]
-		ready[best] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		order = append(order, pick)
-		for _, a := range g.Succ(pick) {
-			if affected[a.To] {
-				pending[a.To]--
-				if pending[a.To] == 0 {
-					ready = append(ready, a.To)
-				}
-			}
-		}
-	}
-	return order
+	return algo.PrecedenceOrder(g, prio, tie, affected)
 }
 
 // Replay applies a whole event log to a fresh engine, returning every

@@ -4,7 +4,10 @@
 // They are deliberately slow — every trial deep-copies the plan — and
 // exist only as the semantic oracle for the differential suite: the
 // transactional implementations must reproduce their schedules bit for
-// bit on every instance.
+// bit on every instance. The textbook list schedulers (HEFT, CPOP,
+// HLFET, ETF) are here for the same reason: written with a global sort
+// and linear ready-list scans, they are the oracle for
+// listsched.Param's heap-driven loop.
 package testfix
 
 import (
@@ -120,12 +123,7 @@ func refDuplicationSchedule(in *sched.Instance, name string, try func(*sched.Pla
 	pl := sched.NewPlan(in)
 	rl := algo.NewReadyList(in.G)
 	for !rl.Empty() {
-		var pick dag.TaskID = -1
-		for _, r := range rl.Ready() {
-			if pick == -1 || sl[r] > sl[pick] {
-				pick = r
-			}
-		}
+		pick := refPick(rl, sl)
 		bestFinish := math.Inf(1)
 		var best RefDupResult
 		bestProc := -1
@@ -152,6 +150,114 @@ func RefDSH(in *sched.Instance) *sched.Schedule {
 // RefBTDH is the clone-based BTDH scheduler.
 func RefBTDH(in *sched.Instance) *sched.Schedule {
 	return refDuplicationSchedule(in, "BTDH", RefTryDuplicationBTDH)
+}
+
+// refPick returns the highest-priority ready task: a strict-> scan, so
+// ties go to the lowest id.
+func refPick(rl *algo.ReadyList, prio []float64) dag.TaskID {
+	var pick dag.TaskID = -1
+	for _, r := range rl.Ready() {
+		if pick == -1 || prio[r] > prio[pick] {
+			pick = r
+		}
+	}
+	return pick
+}
+
+// RefHEFT is textbook HEFT: tasks by decreasing upward rank, each on the
+// processor minimizing its insertion-based finish time.
+func RefHEFT(in *sched.Instance) *sched.Schedule {
+	pl := sched.NewPlan(in)
+	for _, t := range algo.OrderDescPrecedence(in.G, sched.RankUpward(in)) {
+		p, s, _ := pl.BestEFT(t, true)
+		pl.Place(t, p, s)
+	}
+	return pl.Finalize("HEFT")
+}
+
+// RefCPOP is textbook CPOP: ready tasks by decreasing rank_u + rank_d;
+// critical-path tasks pinned to the processor minimizing the path's
+// total cost, the rest on their insertion-based best-finish processor.
+func RefCPOP(in *sched.Instance) *sched.Schedule {
+	up, down := sched.RankUpward(in), sched.RankDownward(in)
+	prio := make([]float64, in.N())
+	for i := range prio {
+		prio[i] = up[i] + down[i]
+	}
+	path, _ := sched.CriticalPathMean(in)
+	onCP := make([]bool, in.N())
+	for _, v := range path {
+		onCP[v] = true
+	}
+	cpProc, cpCost := 0, math.Inf(1)
+	for p := 0; p < in.P(); p++ {
+		var sum float64
+		for _, v := range path {
+			sum += in.Cost(v, p)
+		}
+		if sum < cpCost {
+			cpProc, cpCost = p, sum
+		}
+	}
+	pl := sched.NewPlan(in)
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		t := refPick(rl, prio)
+		if onCP[t] {
+			s, _ := pl.EFTOn(t, cpProc, true)
+			pl.Place(t, cpProc, s)
+		} else {
+			p, s, _ := pl.BestEFT(t, true)
+			pl.Place(t, p, s)
+		}
+		rl.Complete(t)
+	}
+	return pl.Finalize("CPOP")
+}
+
+// RefHLFET is textbook HLFET: ready tasks by decreasing static level,
+// each on the processor with the earliest non-insertion start.
+func RefHLFET(in *sched.Instance) *sched.Schedule {
+	sl := sched.StaticLevel(in)
+	pl := sched.NewPlan(in)
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		t := refPick(rl, sl)
+		bestP, bestS := -1, 0.0
+		for p := 0; p < in.P(); p++ {
+			if s, _ := pl.EFTOn(t, p, false); bestP == -1 || s < bestS {
+				bestP, bestS = p, s
+			}
+		}
+		pl.Place(t, bestP, bestS)
+		rl.Complete(t)
+	}
+	return pl.Finalize("HLFET")
+}
+
+// RefETF is textbook ETF: the ready (task, processor) pair with the
+// earliest non-insertion start, ties to the higher static level, then
+// to the lower task id and processor.
+func RefETF(in *sched.Instance) *sched.Schedule {
+	sl := sched.StaticLevel(in)
+	pl := sched.NewPlan(in)
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		bestStart := math.Inf(1)
+		var bestTask dag.TaskID = -1
+		bestProc := 0
+		for _, t := range rl.Ready() {
+			for p := 0; p < in.P(); p++ {
+				start, _ := pl.EFTOn(t, p, false)
+				if start < bestStart || (start == bestStart && bestTask != -1 && sl[t] > sl[bestTask]) {
+					bestStart, bestTask, bestProc = start, t, p
+				}
+			}
+		}
+		pl.Place(bestTask, bestProc, bestStart)
+		rl.Complete(bestTask)
+	}
+	return pl.Finalize("ETF")
 }
 
 // RefILSOptions mirrors core.Options for the clone-based reference ILS.

@@ -29,7 +29,7 @@ func TestTopcuogluReferenceValues(t *testing.T) {
 		t.Errorf("rank_u(n1) = %v, want 108", ranks[0])
 	}
 
-	heft, err := listsched.HEFT{}.Schedule(in)
+	heft, err := listsched.HEFT().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTopcuogluReferenceValues(t *testing.T) {
 		t.Errorf("HEFT makespan = %v, want 80", heft.Makespan())
 	}
 
-	cpop, err := listsched.CPOP{}.Schedule(in)
+	cpop, err := listsched.CPOP().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
