@@ -32,7 +32,8 @@ race:
 # experiment repetition worker pool, the schedd service (worker pool,
 # cache, graceful shutdown, singleflight coalescing, the batch fan-out
 # and the 3-node consistent-hash ring e2e — forwarding, peer-cache
-# probes, failover, plus the dynamic-membership layer: heartbeat
+# probes, failover, ring-aware client routing by the shared request key
+# (zero forwards), plus the dynamic-membership layer: heartbeat
 # failure detection, cache replication with hinted handoff, the
 # kill/restart/rejoin e2e and join/leave churn racing in-flight
 # batches), the speculative-transaction layer (including
@@ -53,10 +54,12 @@ race-concurrent:
 # Chaos tier: the kill/restart/rejoin e2e repeated under the race
 # detector with fresh process state each run, so detector timings,
 # replication pushes and rejoin sweeps interleave differently every
-# time. CHAOS_RUNS overrides the repetition count.
+# time, plus the ring-routing e2e, so client/server request-key drift
+# (any forward from a ring-aware client) fails the tier on every run.
+# CHAOS_RUNS overrides the repetition count.
 CHAOS_RUNS ?= 5
 cluster-chaos:
-	$(GO) test -race -count=$(CHAOS_RUNS) -run 'TestClusterKillRestartRejoin|TestChurnDuringBatchProperty' ./internal/service
+	$(GO) test -race -count=$(CHAOS_RUNS) -run 'TestClusterKillRestartRejoin|TestChurnDuringBatchProperty|TestRingClientRoutesToOwner' ./internal/service
 
 # One iteration of the scheduler-throughput benchmark at every size,
 # plus the transaction-layer micro-benchmarks (trial begin/rollback,

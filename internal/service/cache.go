@@ -3,34 +3,36 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"sync"
-
-	"dagsched/internal/sched"
 )
 
-// cacheKey canonically identifies (instance, algorithm, options): the
-// instance is re-serialized through Instance.WriteJSON so two requests
-// that parse to the same problem hash identically regardless of the
-// JSON formatting they arrived in. The communication-model kind, the
-// shared-link bandwidth and the faults block are part of the identity —
-// the same problem under one-port, or under a different fault plan, is
-// a different scheduling query.
-func cacheKey(in *sched.Instance, algorithm string, analyze bool, linkBandwidth float64, faults *FaultsRequest) (string, error) {
-	h := sha256.New()
-	if err := in.WriteJSON(h); err != nil {
-		return "", fmt.Errorf("service: hashing instance: %w", err)
+// requestKey is the one identity of a scheduling query. The client
+// places a request on the ring by it; the server shards, caches,
+// coalesces, probes and replicates by it. It is the SHA-256 hex of the
+// request re-marshalled by encoding/json without its two serving knobs,
+// TimeoutMs and Priority — they change how a query is served, not its
+// answer. Marshalling compacts and HTML-escapes the raw instance and
+// graph, and a second pass changes nothing, so the key a client
+// computes before sending equals the key the server computes after
+// decoding. Whitespace variants of a payload therefore share a key;
+// key-order and number-format variants, a bare graph and its expanded
+// instance, and commModel "" versus "contention-free" do not.
+//
+// No decoded request fails to re-marshal (every field came from JSON),
+// and the client marshals the request before keying it, so the error
+// branch is unreachable in practice; it yields "", which validCacheKey
+// rejects.
+func requestKey(req *ScheduleRequest) string {
+	k := *req
+	k.TimeoutMs, k.Priority = 0, ""
+	b, err := json.Marshal(&k)
+	if err != nil {
+		return ""
 	}
-	fmt.Fprintf(h, "|alg=%s|analyze=%v|comm=%s|bw=%g", algorithm, analyze, in.CommKind(), linkBandwidth)
-	if faults != nil {
-		fw, err := json.Marshal(faults)
-		if err != nil {
-			return "", fmt.Errorf("service: hashing faults block: %w", err)
-		}
-		fmt.Fprintf(h, "|faults=%s", fw)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // lruCache is a mutex-guarded LRU of schedule responses with hit/miss

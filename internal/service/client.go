@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -88,12 +87,13 @@ func (e *StatusError) Error() string {
 // With only BaseURL set it talks to one server, with a per-algorithm
 // breaker (one misbehaving algorithm cannot starve the others). With
 // Peers set it becomes a load-balancing multi-node client over a schedd
-// ring: Schedule hashes the request onto the same consistent-hash
-// circle the servers use and dispatches to the owning peer first — so
-// repeated identical requests land where the result is cached — failing
-// over along the ring when a peer is down, with a per-peer circuit
-// breaker keeping dead peers out of the path. ScheduleBatch
-// round-robins whole batches across healthy peers.
+// ring: Schedule places the request on the same consistent-hash circle
+// the servers use, by the same key (requestKey), and dispatches to the
+// owning peer first — so a request lands where its result is cached
+// without a server-side forward — failing over along the ring when a
+// peer is down, with a per-peer circuit breaker keeping dead peers out
+// of the path. ScheduleBatch round-robins whole batches across healthy
+// peers.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080". Used
 	// when Peers is empty.
@@ -333,29 +333,6 @@ func (c *Client) fetchRing(ctx context.Context, peer string) (RingView, error) {
 		return RingView{}, err
 	}
 	return decodeRingView(body)
-}
-
-// requestKey digests the scheduling-relevant fields of a request for
-// client-side ring placement. It is a cheap byte-level digest, not the
-// server's canonical instance hash (which needs a full parse): two
-// byte-identical requests always land on the same peer — which is what
-// keeps that peer's cache hot — and a semantically-equal-but-reformatted
-// request at worst lands elsewhere and is forwarded by the server.
-func requestKey(req *ScheduleRequest) string {
-	h := fnv.New64a()
-	io.WriteString(h, req.Algorithm)
-	h.Write([]byte{0})
-	h.Write(req.Instance)
-	h.Write([]byte{0})
-	h.Write(req.Graph)
-	fmt.Fprintf(h, "|%d|%g|%g|%s|%g|%v", req.Processors, req.Latency, req.TimePerUnit,
-		req.CommModel, req.LinkBandwidth, req.Analyze)
-	if req.Faults != nil {
-		if fw, err := json.Marshal(req.Faults); err == nil {
-			h.Write(fw)
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Schedule submits one scheduling request. Transient failures are

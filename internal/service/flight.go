@@ -12,7 +12,7 @@ type flight struct {
 }
 
 // flightGroup coalesces concurrent identical scheduling requests
-// (same canonical cache key) into a single computation — the in-flight
+// (same request key) into a single computation — the in-flight
 // complement of the LRU result cache, which only helps once a run has
 // finished. Without it, a burst of identical requests all miss the
 // cache together and burn a worker each on the same answer.

@@ -1,19 +1,22 @@
 package service
 
 import (
-	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
 	"dagsched/internal/platform"
 )
 
-// FuzzScheduleRequest asserts the /v1/schedule request decoder never
-// panics and that anything it accepts is a coherent scheduling problem:
-// a resolvable algorithm, at least one processor and one task, a
-// registered communication-model kind, no NaN or negative communication
-// cost (the decoder must reject poisoned payloads rather than hand them
-// to the schedulers), and a hashable cache identity.
+// FuzzScheduleRequest drives the /v1/schedule decode/check/build split
+// and asserts it never panics, that every request past the cheap checks
+// has a well-formed key that survives a marshal/decode round trip (the
+// client keys what it sends, the server what it decoded), and that
+// anything the build accepts is a coherent scheduling problem: a
+// resolvable algorithm, at least one processor and one task, a
+// registered communication-model kind, and no NaN or negative
+// communication cost (the build must reject poisoned payloads rather
+// than hand them to the schedulers).
 func FuzzScheduleRequest(f *testing.F) {
 	graph := `{"tasks":[{"id":0,"weight":1},{"id":1,"weight":2}],"edges":[{"from":0,"to":1,"data":3}]}`
 	// Seed corpus: valid requests under every model, plus near-misses on
@@ -39,11 +42,33 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	s := New(Options{CacheSize: -1})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, a, in, err := s.parseRequest(bytes.NewReader(body))
+		req, err := decodeRequest(body)
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
-		if req == nil || a == nil || in == nil {
+		if _, err := checkRequest(req); err != nil {
+			return
+		}
+		key := requestKey(req)
+		if !validCacheKey(key) {
+			t.Fatalf("requestKey = %q, not a cache key", key)
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		again, err := decodeRequest(wire)
+		if err != nil {
+			t.Fatalf("decoding the re-marshalled request: %v", err)
+		}
+		if k := requestKey(again); k != key {
+			t.Fatalf("key changed across a marshal/decode round trip: %s -> %s", key, k)
+		}
+		a, in, err := s.resolveRequest(req)
+		if err != nil {
+			return
+		}
+		if a == nil || in == nil {
 			t.Fatal("accepted request with nil parts")
 		}
 		if in.P() < 1 || in.N() < 1 {
@@ -71,9 +96,6 @@ func FuzzScheduleRequest(f *testing.F) {
 			if f.Rate < 0 || f.Rate > 1 || f.Samples < 0 || f.Samples > maxFaultSamples {
 				t.Fatalf("accepted out-of-range faults block %+v", f)
 			}
-		}
-		if _, err := cacheKey(in, a.Name(), req.Analyze, req.LinkBandwidth, req.Faults); err != nil {
-			t.Fatalf("cacheKey: %v", err)
 		}
 	})
 }

@@ -292,3 +292,101 @@ func TestMultiNodeForwardMetrics(t *testing.T) {
 		t.Errorf("no forwards recorded across the ring; 4 algorithms x 3 entry nodes must forward at least once")
 	}
 }
+
+// TestRingClientRoutesToOwner is the client/server key-agreement e2e: a
+// ring-aware client places every request on the node that owns it, so
+// across a mixed workload — indented instances, bare graphs, task names
+// that need HTML escaping, analyze, faults, every comm model, and
+// serving knobs that must not move a key — no node ever forwards.
+func TestRingClientRoutesToOwner(t *testing.T) {
+	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
+	inst := instanceJSON(t, testfix.Topcuoglu())
+	graph := json.RawMessage(`{
+  "tasks": [
+    {"id": 0, "weight": 2, "name": "load<a&b>"},
+    {"id": 1, "weight": 3, "name": "</script>"},
+    {"id": 2, "weight": 1}
+  ],
+  "edges": [{"from": 0, "to": 1, "data": 1}, {"from": 0, "to": 2, "data": 4}]
+}`)
+	var reqs []service.ScheduleRequest
+	for _, alg := range []string{"HEFT", "CPOP", "DLS", "HCPT", "PETS", "MCP", "ISH"} {
+		reqs = append(reqs,
+			service.ScheduleRequest{Algorithm: alg, Instance: inst},
+			service.ScheduleRequest{Algorithm: alg, Graph: graph, Processors: 3, Latency: 0.5},
+			service.ScheduleRequest{Algorithm: alg, Instance: inst, Analyze: true, TimeoutMs: 5000, Priority: "low"},
+		)
+	}
+	for _, kind := range []string{"contention-free", "one-port", "shared-link"} {
+		reqs = append(reqs, service.ScheduleRequest{Algorithm: "HEFT", Instance: inst, CommModel: kind})
+	}
+	reqs = append(reqs, service.ScheduleRequest{Algorithm: "HEFT", Graph: graph,
+		Faults: &service.FaultsRequest{Rate: 0.3, Samples: 4, Seed: 1}})
+
+	c := &service.Client{Peers: urls, Retry: &service.RetryPolicy{MaxAttempts: 1}}
+	for round := 0; round < 2; round++ {
+		for _, req := range reqs {
+			if _, err := c.Schedule(context.Background(), req); err != nil {
+				t.Fatalf("%s: %v", req.Algorithm, err)
+			}
+		}
+	}
+	var forwards, failures int64
+	for _, base := range urls {
+		snap, err := (&service.Client{BaseURL: base}).Metrics(context.Background())
+		if err != nil {
+			t.Fatalf("Metrics %s: %v", base, err)
+		}
+		for _, n := range snap.Shard.Forwards {
+			forwards += n
+		}
+		for _, n := range snap.Shard.ForwardFailures {
+			failures += n
+		}
+	}
+	if forwards != 0 || failures != 0 {
+		t.Errorf("%d requests x 2 rounds: %d forwards, %d forward failures; a ring-aware client must land every request on its owner",
+			len(reqs), forwards, failures)
+	}
+}
+
+// TestNonOwnerRelaysOwnersVerdict pins the forward-before-build order:
+// a non-owner relays a request with a malformed instance to the key's
+// owner without building it, and the owner's 400 comes back unchanged.
+func TestNonOwnerRelaysOwnersVerdict(t *testing.T) {
+	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
+	body, err := json.Marshal(service.ScheduleRequest{Algorithm: "HEFT", Instance: json.RawMessage(`[1, 2, 3]`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(base string) (int, http.Header, string) {
+		resp, err := http.Post(base+"/v1/schedule", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", base, err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		return resp.StatusCode, resp.Header, buf.String()
+	}
+	_, hdr, _ := post(urls[0])
+	owner := hdr.Get("X-Shard-Owner")
+	if owner == "" {
+		t.Fatal("no X-Shard-Owner on a request that passed the envelope checks")
+	}
+	entry := urls[0]
+	if owner == entry {
+		entry = urls[1]
+	}
+	ownStatus, _, ownBody := post(owner)
+	status, hdr, got := post(entry)
+	if ownStatus != http.StatusBadRequest || status != http.StatusBadRequest {
+		t.Fatalf("owner answered %d, non-owner %d; want 400 from both", ownStatus, status)
+	}
+	if sb := hdr.Get("X-Served-By"); sb != owner {
+		t.Errorf("served by %q, want the owner %q (the non-owner must relay, not judge)", sb, owner)
+	}
+	if got != ownBody {
+		t.Errorf("relayed body %q differs from the owner's %q", got, ownBody)
+	}
+}

@@ -8,9 +8,10 @@
 // a bounded request queue (overload answers 503 instead of piling up
 // goroutines), a per-request deadline plumbed as context cancellation
 // into the scheduling hot loops (a timed-out request stops burning CPU),
-// an LRU result cache keyed by a canonical content hash of (instance,
-// algorithm, options), request/latency/queue/cache metrics at /metrics,
-// and graceful shutdown that drains in-flight work.
+// an LRU result cache keyed by one digest of the wire request (the same
+// key the client routes by and the ring shards by), request/latency/
+// queue/cache metrics at /metrics, and graceful shutdown that drains
+// in-flight work.
 package service
 
 import (
@@ -73,11 +74,11 @@ type Options struct {
 	// more nodes, and must appear in Peers.
 	SelfURL string
 	// Peers lists the base URLs of every ring member, SelfURL
-	// included. Two or more distinct peers shard the canonical
-	// instance-hash space across the ring (requests are forwarded to
-	// their owner); fewer leave the node standalone. In-process tests
-	// can instead call Server.ConfigurePeers after Start, once
-	// ephemeral addresses are known.
+	// included. Two or more distinct peers shard the request-key space
+	// across the ring (requests are forwarded to their owner); fewer
+	// leave the node standalone. In-process tests can instead call
+	// Server.ConfigurePeers after Start, once ephemeral addresses are
+	// known.
 	Peers []string
 	// ProbeTimeout bounds one peer-cache probe and one replica push
 	// (default 500ms).
@@ -267,7 +268,7 @@ func (s *Server) Start() (string, error) {
 	go func() {
 		// ErrServerClosed is the normal Shutdown outcome.
 		if err := s.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			_ = err
+			log.Printf("service: serving %s: %v", ln.Addr(), err)
 		}
 	}()
 	return ln.Addr().String(), nil
@@ -296,20 +297,13 @@ func (s *Server) Leave(ctx context.Context) {
 	}
 	// The post-leave ring: everyone but us. Entries we hand off go to
 	// the node that owns them now that our arcs are redistributed.
-	after := make([]string, 0, len(sh.peers))
-	for _, p := range sh.peers {
+	after := make([]string, 0, len(sh.ring.peers))
+	for _, p := range sh.ring.peers {
 		if p != sh.self {
 			after = append(after, p)
 		}
 	}
-	s.repl.handoffOnLeave(ctx, &shardState{
-		self:         sh.self,
-		ring:         newRing(after),
-		peers:        after,
-		brk:          sh.brk,
-		client:       sh.client,
-		probeTimeout: sh.probeTimeout,
-	})
+	s.repl.handoffOnLeave(ctx, &shardState{self: sh.self, ring: newRing(after)})
 }
 
 // Shutdown drains the server gracefully: the listener closes, in-flight
@@ -440,7 +434,7 @@ func (s *Server) run(j *job) (res jobResult) {
 }
 
 // robustness evaluates the Faults block of a request against a computed
-// schedule. The request was validated by parseRequest, so policy names
+// schedule. The request was validated by resolveRequest, so policy names
 // and plan shapes resolve here without re-checking.
 func robustness(sch *sched.Schedule, fr *FaultsRequest) (*RobustnessJSON, error) {
 	pol := resched.Default()
@@ -584,7 +578,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var self string
 	var peers []string
 	if sh := s.shard.Load(); sh != nil {
-		self, peers = sh.self, sh.peers
+		self, peers = sh.self, sh.ring.peers
 	}
 	cl := ClusterJSON{
 		Enabled:     s.shard.Load() != nil,
@@ -600,43 +594,50 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// parseRequest validates the wire request into a problem instance.
-func (s *Server) parseRequest(body io.Reader) (*ScheduleRequest, algo.Algorithm, *sched.Instance, error) {
+// decodeRequest decodes one /v1/schedule envelope. The raw instance and
+// graph stay undecoded: a cache hit or a forward never builds them.
+func decodeRequest(body []byte) (*ScheduleRequest, error) {
 	var req ScheduleRequest
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, nil, fmt.Errorf("decoding request: %w", err)
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
 	}
-	a, in, err := s.resolveRequest(&req)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &req, a, in, nil
+	return &req, nil
 }
 
-// resolveRequest validates one decoded request — shared by the single
-// and batch endpoints.
-func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.Instance, error) {
+// checkRequest runs the checks that need no instance, so an invalid
+// request answers 400 before its key reaches any cache tier. It reports
+// whether the request selects the sheddable priority class.
+func checkRequest(req *ScheduleRequest) (lowPrio bool, err error) {
 	if req.Algorithm == "" {
-		return nil, nil, fmt.Errorf("missing algorithm name")
+		return false, fmt.Errorf("missing algorithm name")
 	}
-	if _, err := lowPriority(req.Priority); err != nil {
-		return nil, nil, err
+	if lowPrio, err = lowPriority(req.Priority); err != nil {
+		return false, err
 	}
+	switch {
+	case len(req.Instance) > 0 && len(req.Graph) > 0:
+		return false, fmt.Errorf("request carries both instance and graph; send one")
+	case len(req.Instance) == 0 && len(req.Graph) == 0:
+		return false, fmt.Errorf("request carries neither instance nor graph")
+	}
+	return lowPrio, nil
+}
+
+// resolveRequest builds a checked request into its algorithm and
+// problem instance, binding the communication model and validating the
+// faults block against the platform.
+func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.Instance, error) {
 	a, err := s.opts.Resolver(req.Algorithm)
 	if err != nil {
 		return nil, nil, err
 	}
 	var in *sched.Instance
-	switch {
-	case len(req.Instance) > 0 && len(req.Graph) > 0:
-		return nil, nil, fmt.Errorf("request carries both instance and graph; send one")
-	case len(req.Instance) > 0:
+	if len(req.Instance) > 0 {
 		in, err = sched.ReadInstanceJSON(bytes.NewReader(req.Instance))
 		if err != nil {
 			return nil, nil, err
 		}
-	case len(req.Graph) > 0:
+	} else {
 		g, err := dag.ReadJSON(bytes.NewReader(req.Graph))
 		if err != nil {
 			return nil, nil, err
@@ -663,8 +664,6 @@ func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.In
 			return nil, nil, err
 		}
 		in = sched.Consistent(g, sys)
-	default:
-		return nil, nil, fmt.Errorf("request carries neither instance nor graph")
 	}
 	in, err = bindCommModel(in, req)
 	if err != nil {
@@ -744,17 +743,6 @@ var errQueueFull = errors.New("service: queue full")
 // traffic.
 var errShed = errors.New("service: low-priority request shed")
 
-// parsedItem is one validated scheduling query ready for the tiered
-// cache and the worker pool.
-type parsedItem struct {
-	alg     algo.Algorithm
-	in      *sched.Instance
-	analyze bool
-	faults  *FaultsRequest
-	key     string
-	lowPrio bool
-}
-
 // followerVerdict decides what a coalesced follower does when the
 // flight it parked on failed. leaderErr is the flight's error, ctxErr
 // the follower's own context state at that moment.
@@ -807,7 +795,7 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 	return timeout
 }
 
-// statusFor maps a scheduleLocal error to the HTTP status and message a
+// statusFor maps a compute error to the HTTP status and message a
 // single request would answer.
 func (s *Server) statusFor(err error, timeout time.Duration) (int, string) {
 	switch {
@@ -824,42 +812,123 @@ func (s *Server) statusFor(err error, timeout time.Duration) (int, string) {
 	}
 }
 
-// scheduleLocal serves one parsed scheduling query on this node through
-// the tiered cache: the local LRU first; then — when probePeer is set
-// and another peer owns the key — that peer's cache via the cheap
-// /v1/cache probe (a hit is copied into the local LRU); then the worker
-// pool. Concurrent identical computations coalesce on a singleflight
-// group: one request leads and runs the algorithm, the rest park on its
-// result, so a burst of identical requests costs exactly one schedule.
-// block selects blocking enqueue (batch items backpressure on the
-// queue) versus the single-request fail-fast 503.
-func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem, probePeer, block bool) (*ScheduleResponse, error) {
-	probe := probePeer
+// relay is a single request's forward hop: the raw body a non-owner
+// sends on to the key's owner, and the writer the owner's answer is
+// streamed back through. Batch items carry none; they are never
+// forwarded.
+type relay struct {
+	w    http.ResponseWriter
+	body []byte
+	// hop is false on a request another node already forwarded here. It
+	// is never forwarded again, so disagreeing ring views degrade to
+	// local computation instead of loops.
+	hop bool
+	// relayed reports that the owner answered and its response was
+	// streamed back; serve then returns no answer of its own.
+	relayed bool
+}
+
+// serve takes one decoded request down the lookup ladder that single
+// requests and batch items share:
+//
+//  1. the checks that need no instance (checkRequest);
+//  2. the request key (requestKey);
+//  3. this node's LRU;
+//  4. on a non-owner, a single request forwards its raw body to the
+//     owner, whose cache is the authoritative tier for the key;
+//  5. the instance build (resolveRequest);
+//  6. on a non-owner, a probe of the key's holders — owner first, then
+//     its replica successors, skipping an owner whose forward just
+//     failed — so a dead owner's keyspace lives on at its successors
+//     (a hit is copied into the local LRU). An owner with a cold cache
+//     computes instead of probing; the anti-entropy sweep re-warms a
+//     rejoined owner;
+//  7. the singleflight group and the worker pool (compute).
+//
+// It returns the response, or the status and message the request
+// answers with. Single requests (rl set) fail fast with 503 on a full
+// queue; batch items block on it.
+func (s *Server) serve(parent context.Context, reqID string, req *ScheduleRequest, rl *relay) (*ScheduleResponse, int, string) {
+	low, err := checkRequest(req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err.Error()
+	}
+	// Keyed on the requested name, not a.Name(): a custom Resolver may
+	// map distinct request names onto one implementation, and those are
+	// distinct queries for caching and coalescing purposes.
+	key := requestKey(req)
+	timeout := s.timeoutFor(req.TimeoutMs)
+	ctx, cancel := context.WithTimeout(parent, timeout)
+	defer cancel()
+	sh := s.shard.Load()
+	var remote string // the key's owner when that is another node
+	if sh != nil {
+		owner := sh.ring.owner(key)
+		if owner != sh.self {
+			remote = owner
+		}
+		if rl != nil {
+			rl.w.Header().Set(hdrShardOwner, owner)
+			rl.w.Header().Set(hdrServedBy, sh.self)
+		}
+	}
+	if resp := s.lookupLocal(key); resp != nil {
+		return resp, http.StatusOK, ""
+	}
+	skip := ""
+	if remote != "" && rl != nil && rl.hop {
+		if s.tryForward(ctx, rl.w, sh, remote, rl.body) {
+			rl.relayed = true
+			return nil, 0, ""
+		}
+		skip = remote
+	}
+	a, in, err := s.resolveRequest(req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err.Error()
+	}
+	if remote != "" {
+		if resp := s.probeReplicas(ctx, sh, key, skip); resp != nil {
+			s.met.ObserveTier(tierPeer)
+			s.cache.PutReplica(key, resp)
+			cp := *resp
+			cp.Cached = true
+			return &cp, http.StatusOK, ""
+		}
+	}
+	resp, err := s.compute(&job{ctx: ctx, alg: a, in: in, analyze: req.Analyze, faults: req.Faults,
+		key: key, reqID: reqID, done: make(chan jobResult, 1)}, low, rl == nil)
+	if err != nil {
+		status, msg := s.statusFor(err, timeout)
+		return nil, status, msg
+	}
+	return resp, http.StatusOK, ""
+}
+
+// lookupLocal is the first cache tier: this node's LRU, counted as a
+// local or a replica hit.
+func (s *Server) lookupLocal(key string) *ScheduleResponse {
+	resp, replica := s.cache.Get(key)
+	switch {
+	case resp == nil:
+	case replica:
+		s.met.ObserveTier(tierReplica)
+	default:
+		s.met.ObserveTier(tierLocal)
+	}
+	return resp
+}
+
+// compute is the last tier of the ladder. Concurrent identical
+// computations coalesce on a singleflight group: one request leads and
+// runs the algorithm, the rest park on its result, so a burst of
+// identical requests costs exactly one schedule. block selects blocking
+// enqueue (batch items backpressure on the queue) versus the
+// single-request fail-fast 503.
+func (s *Server) compute(j *job, lowPrio, block bool) (*ScheduleResponse, error) {
+	ctx := j.ctx
 	for {
-		if resp, replica := s.cache.Get(it.key); resp != nil {
-			if replica {
-				s.met.ObserveTier(tierReplica)
-			} else {
-				s.met.ObserveTier(tierLocal)
-			}
-			return resp, nil
-		}
-		if probe {
-			probe = false
-			// Only when another node owns the key: an owner with a cold
-			// cache computes rather than burning a probe round-trip per
-			// successor (the anti-entropy sweep re-warms a rejoined owner).
-			if sh := s.shard.Load(); sh != nil && sh.ring.owner(it.key) != sh.self {
-				if resp := s.probeReplicas(ctx, sh, it.key, ""); resp != nil {
-					s.met.ObserveTier(tierPeer)
-					s.cache.PutReplica(it.key, resp)
-					cp := *resp
-					cp.Cached = true
-					return &cp, nil
-				}
-			}
-		}
-		leader, f := s.flights.join(it.key)
+		leader, f := s.flights.join(j.key)
 		if !leader {
 			s.met.ObserveCoalesced()
 			select {
@@ -870,41 +939,45 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 					return &cp, nil
 				}
 				retry, err := followerVerdict(f.err, ctx.Err())
-				if retry {
-					continue // the leader died of its own deadline, not ours
+				if !retry {
+					return nil, err
 				}
-				return nil, err
+				// The leader died of its own deadline, not ours: lead the
+				// next flight, unless a result landed meanwhile.
+				if resp := s.lookupLocal(j.key); resp != nil {
+					return resp, nil
+				}
+				continue
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 		}
-		if s.shouldShed(it.lowPrio) {
+		if s.shouldShed(lowPrio) {
 			// Cache and coalescing tiers above stay open to low-priority
 			// traffic (a hit costs nothing); only fresh compute is shed.
 			s.met.ObserveShed()
-			s.flights.finish(it.key, f, nil, errShed)
+			s.flights.finish(j.key, f, nil, errShed)
 			return nil, errShed
 		}
 		s.met.ObserveTier(tierMiss)
-		j := &job{ctx: ctx, alg: it.alg, in: it.in, analyze: it.analyze, faults: it.faults, key: it.key, reqID: reqID, done: make(chan jobResult, 1)}
 		if block {
 			select {
 			case s.jobs <- j:
 			case <-ctx.Done():
-				s.flights.finish(it.key, f, nil, ctx.Err())
+				s.flights.finish(j.key, f, nil, ctx.Err())
 				return nil, ctx.Err()
 			}
 		} else {
 			select {
 			case s.jobs <- j:
 			default:
-				s.flights.finish(it.key, f, nil, errQueueFull)
+				s.flights.finish(j.key, f, nil, errQueueFull)
 				return nil, errQueueFull
 			}
 		}
 		select {
 		case res := <-j.done:
-			s.flights.finish(it.key, f, res.resp, res.err)
+			s.flights.finish(j.key, f, res.resp, res.err)
 			return res.resp, res.err
 		case <-ctx.Done():
 			// The worker owns the job now; publish its eventual result so
@@ -912,7 +985,7 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 			// promptly.
 			go func() {
 				res := <-j.done
-				s.flights.finish(it.key, f, res.resp, res.err)
+				s.flights.finish(j.key, f, res.resp, res.err)
 			}()
 			return nil, ctx.Err()
 		}
@@ -929,67 +1002,19 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
-	req, a, in, err := s.parseRequest(bytes.NewReader(body))
+	req, err := decodeRequest(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Keyed on the requested name, not a.Name(): a custom Resolver may
-	// map distinct request names onto one implementation, and those are
-	// distinct queries for caching and coalescing purposes. The default
-	// resolver matches names exactly, so the two are identical for it.
-	key, err := cacheKey(in, req.Algorithm, req.Analyze, req.LinkBandwidth, req.Faults)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	timeout := s.timeoutFor(req.TimeoutMs)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if sh := s.shard.Load(); sh != nil {
-		owner := sh.ring.owner(key)
-		w.Header().Set(hdrShardOwner, owner)
-		if owner != sh.self && r.Header.Get(hdrForwarded) == "" {
-			// Not ours: serve a local copy if we happen to hold one,
-			// otherwise forward to the owner (whose cache is the
-			// authoritative tier for this key). A failed forward falls
-			// through the key's replica holders — a dead owner's
-			// keyspace lives on at its successors — and only then to
-			// computing here: availability over placement.
-			if resp, replica := s.cache.Get(key); resp != nil {
-				if replica {
-					s.met.ObserveTier(tierReplica)
-				} else {
-					s.met.ObserveTier(tierLocal)
-				}
-				w.Header().Set(hdrServedBy, sh.self)
-				writeJSON(w, http.StatusOK, resp)
-				return
-			}
-			if s.tryForward(ctx, w, sh, owner, body) {
-				return
-			}
-			if resp := s.probeReplicas(ctx, sh, key, owner); resp != nil {
-				s.met.ObserveTier(tierPeer)
-				s.cache.PutReplica(key, resp)
-				cp := *resp
-				cp.Cached = true
-				w.Header().Set(hdrServedBy, sh.self)
-				writeJSON(w, http.StatusOK, &cp)
-				return
-			}
-		}
-		w.Header().Set(hdrServedBy, sh.self)
-	}
 	reqID, _ := r.Context().Value(reqIDKey{}).(string)
-	low, _ := lowPriority(req.Priority) // validated by resolveRequest
-	resp, err := s.scheduleLocal(ctx, reqID, parsedItem{
-		alg: a, in: in, analyze: req.Analyze, faults: req.Faults, key: key, lowPrio: low,
-	}, false, false)
-	if err != nil {
-		status, msg := s.statusFor(err, timeout)
+	rl := &relay{w: w, body: body, hop: r.Header.Get(hdrForwarded) == ""}
+	resp, status, msg := s.serve(r.Context(), reqID, req, rl)
+	switch {
+	case rl.relayed:
+	case resp != nil:
+		writeJSON(w, status, resp)
+	default:
 		writeError(w, status, "%s", msg)
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // Sharding headers. Every /v1/schedule response from a ring member
-// carries the owner of the request's canonical hash (X-Shard-Owner)
-// and the node that actually served it (X-Served-By). A node forwards
-// a request it does not own to the owner exactly once, marking the hop
-// with X-Schedd-Forwarded; a request already carrying that header is
-// never forwarded again, so inconsistent ring configurations degrade
-// to local computation instead of forwarding loops.
+// carries the owner of the request's key (X-Shard-Owner) and the node
+// that actually served it (X-Served-By). A node forwards a request it
+// does not own to the owner exactly once, marking the hop with
+// X-Schedd-Forwarded; a request already carrying that header is never
+// forwarded again, so inconsistent ring configurations degrade to
+// local computation instead of forwarding loops.
 const (
 	hdrShardOwner = "X-Shard-Owner"
 	hdrServedBy   = "X-Served-By"
@@ -35,16 +35,11 @@ const (
 
 // shardState is the immutable ring view of one configuration epoch;
 // Server.shard swaps it atomically so request paths read a consistent
-// (self, ring) pair without locking.
+// (self, ring) pair without locking. What outlives an epoch — the peer
+// breakers, the peer HTTP client, the probe timeout — stays on Server.
 type shardState struct {
-	self  string
-	ring  *hashRing
-	peers []string
-	brk   *breakerSet
-	// client issues forwards (bounded by the request context) and
-	// probes (bounded by probeTimeout).
-	client       *http.Client
-	probeTimeout time.Duration
+	self string
+	ring *hashRing
 }
 
 // shardPtr wraps the atomic pointer so a nil load means "sharding off".
@@ -76,7 +71,7 @@ func (s *Server) ConfigureJoin(self, seed string) error {
 // one. Any other owner response (including 4xx/5xx verdicts about the
 // request itself) is authoritative and relayed as-is.
 func (s *Server) tryForward(ctx context.Context, w http.ResponseWriter, sh *shardState, owner string, body []byte) bool {
-	if _, open := sh.brk.allow(owner, forwardBreakerThreshold); open {
+	if _, open := s.peerBrk.allow(owner, forwardBreakerThreshold); open {
 		return false
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v1/schedule", bytes.NewReader(body))
@@ -85,22 +80,23 @@ func (s *Server) tryForward(ctx context.Context, w http.ResponseWriter, sh *shar
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(hdrForwarded, sh.self)
-	resp, err := sh.client.Do(req)
+	resp, err := s.peerClient.Do(req)
 	if err != nil {
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
+		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
 		s.met.ObserveForward(owner, false)
 		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		_, _ = io.Copy(io.Discard, resp.Body)
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown,
+		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown,
 			&StatusError{Method: http.MethodPost, Path: "/v1/schedule", Status: resp.StatusCode})
 		s.met.ObserveForward(owner, false)
 		return false
 	}
-	sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
+	s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
 	s.met.ObserveForward(owner, true)
+	w.Header().Del(hdrServedBy) // the owner names who served, if anyone
 	if v := resp.Header.Get(hdrServedBy); v != "" {
 		w.Header().Set(hdrServedBy, v)
 	}
@@ -117,24 +113,24 @@ func (s *Server) tryForward(ctx context.Context, w http.ResponseWriter, sh *shar
 // (circuit open, timeout, malformed body) degrades to a miss; timeouts
 // are counted separately from true misses, since a fleet whose probes
 // time out needs a bigger -probe-timeout, not a warmer cache.
-func (s *Server) probePeerCache(ctx context.Context, sh *shardState, owner, key string) *ScheduleResponse {
-	if _, open := sh.brk.allow(owner, forwardBreakerThreshold); open {
+func (s *Server) probePeerCache(ctx context.Context, owner, key string) *ScheduleResponse {
+	if _, open := s.peerBrk.allow(owner, forwardBreakerThreshold); open {
 		return nil
 	}
-	pctx, cancel := context.WithTimeout(ctx, sh.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, owner+"/v1/cache/"+key, nil)
 	if err != nil {
 		return nil
 	}
-	resp, err := sh.client.Do(req)
+	resp, err := s.peerClient.Do(req)
 	if err != nil {
 		if pctx.Err() != nil && ctx.Err() == nil {
 			s.met.ObserveProbe(probeTimeout)
 		} else {
 			s.met.ObserveProbe(probeError)
 		}
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
+		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
 		return nil
 	}
 	defer resp.Body.Close()
@@ -147,10 +143,10 @@ func (s *Server) probePeerCache(ctx context.Context, sh *shardState, owner, key 
 		} else {
 			s.met.ObserveProbe(probeMiss)
 		}
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, obs)
+		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, obs)
 		return nil
 	}
-	sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
+	s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
 	var out ScheduleResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, s.opts.MaxBodyBytes)).Decode(&out); err != nil {
 		s.met.ObserveProbe(probeError)
@@ -171,7 +167,7 @@ func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key, skip st
 		if peer == sh.self || peer == skip {
 			continue
 		}
-		if resp := s.probePeerCache(ctx, sh, peer, key); resp != nil {
+		if resp := s.probePeerCache(ctx, peer, key); resp != nil {
 			return resp
 		}
 		if ctx.Err() != nil {
@@ -220,7 +216,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// validCacheKey recognises the sha256-hex form cacheKey produces.
+// validCacheKey recognises the sha256-hex form requestKey produces.
 func validCacheKey(key string) bool {
 	if len(key) != 64 {
 		return false
