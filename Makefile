@@ -31,12 +31,12 @@ race:
 # Focused race pass over the concurrency-heavy subsystems: the
 # experiment repetition worker pool, the schedd service (worker pool,
 # cache, graceful shutdown, singleflight coalescing, the batch fan-out
-# and the 3-node consistent-hash ring e2e — forwarding, peer-cache
-# probes, failover, ring-aware client routing by the shared request key
-# (zero forwards), plus the dynamic-membership layer: heartbeat
-# failure detection, cache replication with hinted handoff, the
-# kill/restart/rejoin e2e and join/leave churn racing in-flight
-# batches), the speculative-transaction layer (including
+# and the 3-node consistent-hash ring e2e — entry-node serving,
+# peer-cache probes, failover, ring-aware client routing by the shared
+# request key (zero probes), plus the dynamic-membership layer:
+# heartbeat failure detection, cache replication with anti-entropy
+# sweeps, the kill/restart/rejoin and graceful-leave e2es and join/leave
+# churn racing in-flight batches), the speculative-transaction layer (including
 # cloned comm-state trials under contended models), the ILS trial
 # machinery, the contention-aware wrappers, the differential suite
 # with the per-processor trial workers forced on (and the parallel
@@ -51,15 +51,16 @@ race:
 race-concurrent:
 	$(GO) test -race -count=1 ./internal/experiment/... ./internal/service/... ./internal/stream ./internal/sched ./internal/sched/timeline ./internal/dag ./internal/algo/suite ./internal/core ./internal/algo/contention ./internal/sim ./internal/algo/resched ./internal/adversary
 
-# Chaos tier: the kill/restart/rejoin e2e repeated under the race
-# detector with fresh process state each run, so detector timings,
-# replication pushes and rejoin sweeps interleave differently every
-# time, plus the ring-routing e2e, so client/server request-key drift
-# (any forward from a ring-aware client) fails the tier on every run.
-# CHAOS_RUNS overrides the repetition count.
+# Chaos tier: the kill/restart/rejoin and graceful-leave e2es repeated
+# under the race detector with fresh process state each run, so
+# detector timings, replication pushes and rejoin sweeps interleave
+# differently every time, plus the ring-routing e2e, so client/server
+# request-key drift (a ring-aware client's request probing or computing
+# off its owner) fails the tier on every run. CHAOS_RUNS overrides the
+# repetition count.
 CHAOS_RUNS ?= 5
 cluster-chaos:
-	$(GO) test -race -count=$(CHAOS_RUNS) -run 'TestClusterKillRestartRejoin|TestChurnDuringBatchProperty|TestRingClientRoutesToOwner' ./internal/service
+	$(GO) test -race -count=$(CHAOS_RUNS) -run 'TestClusterKillRestartRejoin|TestClusterGracefulLeave|TestChurnDuringBatchProperty|TestRingClientRoutesToOwner' ./internal/service
 
 # One iteration of the scheduler-throughput benchmark at every size,
 # plus the transaction-layer micro-benchmarks (trial begin/rollback,

@@ -26,8 +26,8 @@
 // node's death does not cold-start its keyspace.
 //
 // SIGINT/SIGTERM shut the server down gracefully: the node announces
-// its leave to the ring, hands its hottest cache entries to their new
-// owners, then drains in-flight requests for up to -drain.
+// its leave to the ring (its successors already hold replicas of its
+// keys), then drains in-flight requests for up to -drain.
 package main
 
 import (
@@ -56,7 +56,7 @@ func main() {
 		self       = flag.String("self", "", "this node's base URL on the ring (required with -peers or -join)")
 		peersCSV   = flag.String("peers", "", "comma-separated base URLs of all ring members, self included")
 		join       = flag.String("join", "", "base URL of a live ring member to join (alternative to -peers)")
-		replicas   = flag.Int("replication", 2, "cache replicas pushed to ring successors (0 disables)")
+		replicas   = flag.Int("replication", 2, "ring successors that hold a copy of each cached result beyond its owner (0 = owner copy only)")
 		heartbeat  = flag.Duration("heartbeat", 500*time.Millisecond, "membership heartbeat interval")
 		suspect    = flag.Duration("suspect-after", 2*time.Second, "silence before a peer is suspected (dead at twice this)")
 		probeTO    = flag.Duration("probe-timeout", 0, "peer cache-probe and replica-push timeout (0 = default 500ms)")

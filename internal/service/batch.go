@@ -18,8 +18,8 @@ import (
 // results array preserves request order. Items enqueue blocking (the
 // queue backpressures a large batch instead of 503ing its tail), go
 // down the same lookup ladder as single requests (local LRU, then the
-// key's holders' caches, then compute) without the forward hop, and
-// coalesce with concurrent identical work.
+// key's holders' caches, then compute), and coalesce with concurrent
+// identical work.
 //
 // With "Accept: application/x-ndjson" the response streams instead:
 // one BatchItemResult JSON line per item in completion order, flushed

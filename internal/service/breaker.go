@@ -15,8 +15,8 @@ type breaker struct {
 }
 
 // breakerSet is a keyed collection of circuit breakers — per algorithm
-// in the single-node client (PR 5's behaviour), per peer in the
-// multi-node client and in the server's request forwarder. Thresholds
+// in the single-node client, per peer in the multi-node client and in
+// the server's peer probes and replica pushes. Thresholds
 // and cooldowns are passed per call so a caller whose RetryPolicy is
 // mutable keeps its existing semantics.
 type breakerSet struct {

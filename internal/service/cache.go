@@ -132,8 +132,8 @@ type cacheSnap struct {
 }
 
 // Snapshot returns up to max entries, most recently used first — the
-// order anti-entropy sweeps and leave handoffs want, since the hottest
-// entries are the ones worth re-delivering under a bound.
+// order an anti-entropy sweep wants, since the hottest entries are the
+// ones worth re-delivering under a bound.
 func (c *lruCache) Snapshot(max int) []cacheSnap {
 	if c.cap <= 0 || max <= 0 {
 		return nil

@@ -89,10 +89,11 @@ func (e *StatusError) Error() string {
 // Peers set it becomes a load-balancing multi-node client over a schedd
 // ring: Schedule places the request on the same consistent-hash circle
 // the servers use, by the same key (requestKey), and dispatches to the
-// owning peer first — so a request lands where its result is cached
-// without a server-side forward — failing over along the ring when a
-// peer is down, with a per-peer circuit breaker keeping dead peers out
-// of the path. ScheduleBatch round-robins whole batches across healthy
+// owning peer first — so a request lands where its result is cached —
+// failing over along the ring when a peer is down, with a per-peer
+// circuit breaker keeping dead peers out of the path. A server never
+// forwards: a request sent to a non-owner (by a plain BaseURL client)
+// is served there, from the key's holders' caches or by computing it. ScheduleBatch round-robins whole batches across healthy
 // peers.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080". Used

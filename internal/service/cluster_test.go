@@ -84,6 +84,20 @@ func computeCount(snap *service.MetricsSnapshot) int {
 	return n
 }
 
+// ringCompute sums computeCount over every node of a ring.
+func ringCompute(t *testing.T, urls []string) int {
+	t.Helper()
+	n := 0
+	for _, u := range urls {
+		snap, err := fetchMetrics(u)
+		if err != nil {
+			t.Fatalf("metrics %s: %v", u, err)
+		}
+		n += computeCount(snap)
+	}
+	return n
+}
+
 // TestClusterKillRestartRejoin is the self-healing end-to-end: a 3-node
 // ring with replication is warmed, one node is killed without warning,
 // and the cluster must (a) detect the death and reshard, (b) keep
@@ -97,8 +111,8 @@ func TestClusterKillRestartRejoin(t *testing.T) {
 	inst := instanceJSON(t, testfix.Topcuoglu())
 	algs := []string{"HEFT", "CPOP", "DLS", "HCPT", "PETS", "MCP", "ISH"}
 
-	// Warm every key through node 0; forwarding computes each at its
-	// owner and replication (R=2 on 3 nodes) copies it everywhere.
+	// Warm every key through node 0, which computes each one;
+	// replication (R=2 on 3 nodes) copies it everywhere.
 	want := make(map[string]string, len(algs))
 	for _, alg := range algs {
 		resp, _ := postSchedule(t, urls[0], service.ScheduleRequest{Algorithm: alg, Instance: inst})
@@ -247,17 +261,31 @@ func TestClusterKillRestartRejoin(t *testing.T) {
 		return nil
 	})
 
-	// Anti-entropy must re-warm the rejoined node's cache.
+	// Anti-entropy must re-warm the rejoined node with every warmed key
+	// (R=2 on 3 nodes makes it a holder of all of them). These are the
+	// only keys the cluster ever saw, so a full cache holds them all,
+	// and asking the rejoined node for each computes nothing.
 	waitFor(t, 10*time.Second, "anti-entropy sweep to the rejoined node", func() error {
 		snap, err := fetchMetrics(victim)
 		if err != nil {
 			return err
 		}
-		if snap.Cache.Size < 1 {
-			return fmt.Errorf("rejoined cache still empty")
+		if snap.Cache.Size < len(algs) {
+			return fmt.Errorf("rejoined cache holds %d of %d warmed keys", snap.Cache.Size, len(algs))
 		}
 		return nil
 	})
+	for _, alg := range algs {
+		resp, _ := postSchedule(t, victim, service.ScheduleRequest{Algorithm: alg, Instance: inst})
+		if d := scheduleDigest(t, resp); d != want[alg] {
+			t.Errorf("rejoined node's %s differs from the pre-kill result", alg)
+		}
+	}
+	if snap, err := fetchMetrics(victim); err != nil {
+		t.Fatalf("metrics %s: %v", victim, err)
+	} else if n := computeCount(snap); n != 0 {
+		t.Errorf("rejoined node recomputed %d warmed keys; the sweep must have delivered all %d", n, len(algs))
+	}
 
 	// A long-lived client refreshes its ring view from the cluster.
 	c := &service.Client{Peers: survivors}
@@ -273,6 +301,92 @@ func TestClusterKillRestartRejoin(t *testing.T) {
 	}
 	if d := scheduleDigest(t, resp); d != want[algs[0]] {
 		t.Error("post-rejoin schedule differs from the pre-kill result")
+	}
+}
+
+// TestClusterGracefulLeave pins what replaces a leave-time handoff: at
+// R=1 every key already has a copy at its first ring successor, which
+// is exactly the node that inherits the key when its owner leaves. So
+// after one node leaves gracefully (Leave, then Shutdown, as Serve
+// does), a ring-aware client that refreshed its view finds every
+// warmed key cached at its new owner, and no survivor recomputes.
+func TestClusterGracefulLeave(t *testing.T) {
+	o := clusterOpts()
+	o.Replication = 1
+	servers, urls := startCluster(t, 3, o)
+	inst := instanceJSON(t, testfix.Topcuoglu())
+	algs := []string{"HEFT", "CPOP", "DLS", "HCPT", "PETS", "MCP", "ISH"}
+
+	c := &service.Client{Peers: urls, Retry: &service.RetryPolicy{MaxAttempts: 1}}
+	want := make(map[string]string, len(algs))
+	for _, alg := range algs {
+		resp, err := c.Schedule(context.Background(), service.ScheduleRequest{Algorithm: alg, Instance: inst})
+		if err != nil {
+			t.Fatalf("warming %s: %v", alg, err)
+		}
+		want[alg] = scheduleDigest(t, resp)
+	}
+	// Each key was computed once, at its owner, and pushed to its one
+	// successor.
+	waitFor(t, 10*time.Second, "one replica of every key", func() error {
+		var stores int64
+		for _, u := range urls {
+			snap, err := fetchMetrics(u)
+			if err != nil {
+				return err
+			}
+			stores += snap.Cluster.Replica.Stores
+		}
+		if stores < int64(len(algs)) {
+			return fmt.Errorf("%d of %d replicas stored", stores, len(algs))
+		}
+		return nil
+	})
+	if warm := ringCompute(t, urls); warm != len(algs) {
+		t.Fatalf("warm-up computed %d runs, want %d (one per key, at its owner)", warm, len(algs))
+	}
+
+	leaver, survivors := urls[2], urls[:2]
+	before := ringCompute(t, survivors)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	servers[2].Leave(ctx)
+	if err := servers[2].Shutdown(ctx); err != nil {
+		t.Fatalf("shutting down the leaver: %v", err)
+	}
+	cancel()
+	// A survivor can briefly re-learn the leaver from the other's stale
+	// heartbeat view; the detector then drops it.
+	waitFor(t, 10*time.Second, "a 2-node ring on both survivors", func() error {
+		for _, u := range survivors {
+			snap, err := fetchMetrics(u)
+			if err != nil {
+				return err
+			}
+			if !snap.Cluster.Enabled || len(snap.Shard.Peers) != len(survivors) {
+				return fmt.Errorf("%s ring = %v", u, snap.Shard.Peers)
+			}
+		}
+		return nil
+	})
+	if err := c.RefreshRing(context.Background()); err != nil {
+		t.Fatalf("RefreshRing: %v", err)
+	}
+	for _, p := range c.RingPeers() {
+		if p == leaver {
+			t.Fatalf("client ring %v still names the leaver %s", c.RingPeers(), leaver)
+		}
+	}
+	for _, alg := range algs {
+		resp, err := c.Schedule(context.Background(), service.ScheduleRequest{Algorithm: alg, Instance: inst})
+		if err != nil {
+			t.Fatalf("%s after leave: %v", alg, err)
+		}
+		if d := scheduleDigest(t, resp); d != want[alg] {
+			t.Errorf("%s after leave differs from the pre-leave result", alg)
+		}
+	}
+	if after := ringCompute(t, survivors); after != before {
+		t.Errorf("survivors recomputed after a graceful leave: %d runs before, %d after", before, after)
 	}
 }
 

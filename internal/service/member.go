@@ -31,7 +31,7 @@ import (
 //     piggyback: views spread along heartbeat edges).
 //   - POST /v1/ring/join   — {"url": U} adds U as an alive member, swaps
 //     the ring and relays the join once to every other known member
-//     (X-Schedd-Relayed guards against relay loops). Returns the full
+//     (X-Schedd-Relayed guards against loops). Returns the full
 //     view so a joiner adopts the cluster state in one round trip.
 //   - POST /v1/ring/leave  — {"url": U} removes U, swaps and relays.
 //
@@ -293,7 +293,6 @@ func (m *membership) start() {
 	m.startOnce.Do(func() {
 		m.s.workers.Add(1)
 		go m.loop()
-		m.s.repl.start()
 	})
 }
 
@@ -459,7 +458,7 @@ func (m *membership) observeHeartbeat(peer string, view RingView) {
 	}
 	m.mu.Unlock()
 	if rejoined {
-		m.s.repl.sweepFor(peer)
+		m.s.sweepFor(peer)
 	}
 }
 
@@ -603,8 +602,8 @@ func (m *membership) removeMember(url string) (changed bool) {
 	return changed
 }
 
-// relay fans a join/leave out to every other member once.
-func (m *membership) relay(path, subject string) {
+// broadcast fans a join/leave out to every other member once.
+func (m *membership) broadcast(path, subject string) {
 	m.mu.Lock()
 	peers := make([]string, 0, len(m.members))
 	for p, mi := range m.members {
@@ -660,23 +659,13 @@ func (m *membership) counts() (alive, suspect, dead int, epoch uint64) {
 	return alive, suspect, dead, m.epoch
 }
 
-// isAlive reports whether peer is currently judged alive (used by the
-// hinted-handoff retrier to avoid hammering a node that is still down).
-func (m *membership) isAlive(peer string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mi := m.members[peer]
-	return mi != nil && mi.status == memberAlive
-}
-
 // leave announces this node's departure to every member and withdraws
-// from the ring. The caller (Server.Leave) hands off cache entries
-// first, while the ring still routes to us.
-func (m *membership) leave() []string {
+// from the ring.
+func (m *membership) leave() {
 	m.mu.Lock()
 	if m.left {
 		m.mu.Unlock()
-		return nil
+		return
 	}
 	m.left = true
 	peers := make([]string, 0, len(m.members))
@@ -691,7 +680,6 @@ func (m *membership) leave() []string {
 	for _, p := range peers {
 		_, _ = m.postRing(p, "/v1/ring/leave", self, false)
 	}
-	return peers
 }
 
 // handleRing serves GET /v1/ring: the ring view, doubling as the
@@ -744,10 +732,10 @@ func (s *Server) handleRingChange(w http.ResponseWriter, r *http.Request, path s
 		changed = s.member.removeMember(msg.URL)
 	}
 	if changed && r.Header.Get(hdrRelayed) == "" {
-		s.member.relay(path, msg.URL)
+		s.member.broadcast(path, msg.URL)
 	}
 	if changed && join {
-		s.repl.sweepFor(msg.URL)
+		s.sweepFor(msg.URL)
 	}
 	writeJSON(w, http.StatusOK, s.member.view())
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -84,62 +86,84 @@ func scheduleDigest(t *testing.T, r *service.ScheduleResponse) string {
 	return string(data)
 }
 
-// TestMultiNodeForwarding runs a 3-node ring: every node must agree on
-// each key's owner (X-Shard-Owner), route requests it does not own to
-// that owner (X-Served-By), and produce byte-identical schedules to a
-// standalone single-node server.
+// TestMultiNodeForwarding runs a 3-node ring behind plain (BaseURL)
+// clients, which send each request to whichever node they know. Every
+// entry node must agree on each key's owner (X-Shard-Owner) and answer
+// byte-identical schedules to a standalone server; a miss is served
+// where it lands, and once its replica pushes have landed a second
+// round through every node computes nothing.
 func TestMultiNodeForwarding(t *testing.T) {
 	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
 	_, ref := startServer(t, service.Options{Workers: 2}) // single-node reference
 
 	inst := instanceJSON(t, testfix.Topcuoglu())
-	for _, alg := range []string{"HEFT", "CPOP", "DLS", "HCPT", "PETS"} {
+	algs := []string{"HEFT", "CPOP", "DLS", "HCPT", "PETS"}
+	want := make(map[string]string, len(algs))
+	for _, alg := range algs {
 		req := service.ScheduleRequest{Algorithm: alg, Instance: inst}
 		refResp, err := ref.Schedule(context.Background(), req)
 		if err != nil {
 			t.Fatalf("reference %s: %v", alg, err)
 		}
-		want := scheduleDigest(t, refResp)
-
-		var owner string
-		for i, base := range urls {
-			resp, hdr := postSchedule(t, base, req)
-			if got := scheduleDigest(t, resp); got != want {
-				t.Errorf("%s via node %d: schedule differs from single-node reference", alg, i)
-			}
-			o := hdr.Get("X-Shard-Owner")
-			if o == "" {
-				t.Fatalf("%s via node %d: no X-Shard-Owner header", alg, i)
-			}
-			if owner == "" {
-				owner = o
-			} else if o != owner {
-				t.Errorf("%s: node %d names owner %q, earlier nodes %q — ring views disagree", alg, i, o, owner)
-			}
-			// The serving node is the owner — either this node owns the
-			// key, or it forwarded there. (A cached local copy can answer
-			// later rounds, but each alg's first pass has a cold ring.)
-			if sb := hdr.Get("X-Served-By"); sb != owner && i == 0 {
-				// First request is computed at the owner via forwarding.
-				t.Errorf("%s via node %d: served by %q, want owner %q", alg, i, sb, owner)
+		want[alg] = scheduleDigest(t, refResp)
+	}
+	round := func() {
+		for _, alg := range algs {
+			var owner string
+			for i, base := range urls {
+				resp, hdr := postSchedule(t, base, service.ScheduleRequest{Algorithm: alg, Instance: inst})
+				if got := scheduleDigest(t, resp); got != want[alg] {
+					t.Errorf("%s via node %d: schedule differs from single-node reference", alg, i)
+				}
+				o := hdr.Get("X-Shard-Owner")
+				if o == "" {
+					t.Fatalf("%s via node %d: no X-Shard-Owner header", alg, i)
+				}
+				if owner == "" {
+					owner = o
+				} else if o != owner {
+					t.Errorf("%s: node %d names owner %q, earlier nodes %q — ring views disagree", alg, i, o, owner)
+				}
+				if sb := hdr.Get("X-Served-By"); sb != base {
+					t.Errorf("%s via node %d: served by %q, want the entry node %q", alg, i, sb, base)
+				}
 			}
 		}
+	}
+	round()
+	// Replication (R=2 on 3 nodes) puts every key on every node.
+	waitFor(t, 10*time.Second, "replica pushes on every node", func() error {
+		for i, u := range urls {
+			snap, err := fetchMetrics(u)
+			if err != nil {
+				return err
+			}
+			if snap.Cache.Size < len(algs) {
+				return fmt.Errorf("node %d cache size %d < %d", i, snap.Cache.Size, len(algs))
+			}
+		}
+		return nil
+	})
+	before := ringCompute(t, urls)
+	round()
+	if after := ringCompute(t, urls); after != before {
+		t.Errorf("second round recomputed: %d runs before, %d after", before, after)
 	}
 }
 
 // TestMultiNodePeerCacheHit pins the middle cache tier: a batch item
 // whose key is owned by another node finds that node's cached result
-// via the /v1/cache probe instead of recomputing. Replication is
-// disabled: a pushed replica would turn the probe into a local hit,
-// which is exactly what this test must not conflate (replica.go has
-// its own tests).
+// via the /v1/cache probe instead of recomputing. Replication keeps the
+// owner copy only: a replica pushed to the probing node would turn the
+// probe into a local hit, which is exactly what this test must not
+// conflate (cluster_test.go covers replicas).
 func TestMultiNodePeerCacheHit(t *testing.T) {
 	servers, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32, Replication: -1})
 	inst := instanceJSON(t, testfix.Topcuoglu())
 	req := service.ScheduleRequest{Algorithm: "HEFT", Instance: inst}
 
-	// Compute once through node 0; forwarding caches the result at the
-	// key's owner.
+	// Compute once through node 0; if node 0 is not the owner, its
+	// replica push puts the result at the owner.
 	warm, hdr := postSchedule(t, urls[0], req)
 	owner := hdr.Get("X-Shard-Owner")
 	ownerIdx := -1
@@ -151,6 +175,16 @@ func TestMultiNodePeerCacheHit(t *testing.T) {
 	if ownerIdx < 0 {
 		t.Fatalf("owner %q not among cluster URLs %v", owner, urls)
 	}
+	waitFor(t, 10*time.Second, "the result at the owner", func() error {
+		snap, err := fetchMetrics(owner)
+		if err != nil {
+			return err
+		}
+		if snap.Cache.Size < 1 {
+			return fmt.Errorf("owner cache empty")
+		}
+		return nil
+	})
 
 	// A batch through a node that does NOT own the key: its local LRU is
 	// cold (unless it was the entry node that kept a copy), so the item
@@ -186,32 +220,33 @@ func TestMultiNodePeerCacheHit(t *testing.T) {
 	}
 }
 
-// TestMultiNodeFailover kills a key's owner: surviving nodes must keep
-// answering that key by computing locally after the forward fails, and
-// the failure must surface in their forward metrics. Replication is
-// disabled so the forward genuinely fails instead of being served from
-// a local replica (the replicated path is cluster_test.go's job).
+// TestMultiNodeFailover kills a key's owner: a node that never saw the
+// key must keep answering it by computing locally after its probe of
+// the dead owner fails, and the failed probe must surface in its
+// shard.probe metrics. Replication keeps the owner copy only, so no
+// survivor holds a replica to hide the probe (the replicated path is
+// cluster_test.go's job).
 func TestMultiNodeFailover(t *testing.T) {
 	servers, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32, Replication: -1})
 	inst := instanceJSON(t, testfix.Topcuoglu())
 
-	// Find an algorithm whose key is NOT owned by node 0, so node 0
-	// must forward — and survive the owner's death.
+	// Find an algorithm whose key is NOT owned by node 0, so a third
+	// node is neither the entry nor the owner.
 	algs := []string{"HEFT", "CPOP", "DLS", "HCPT", "PETS", "MCP", "ISH"}
 	var req service.ScheduleRequest
 	var owner string
+	var want *service.ScheduleResponse
 	for _, alg := range algs {
 		r := service.ScheduleRequest{Algorithm: alg, Instance: inst}
-		_, hdr := postSchedule(t, urls[0], r)
+		resp, hdr := postSchedule(t, urls[0], r)
 		if o := hdr.Get("X-Shard-Owner"); o != urls[0] {
-			req, owner = r, o
+			req, owner, want = r, o, resp
 			break
 		}
 	}
 	if owner == "" {
 		t.Fatalf("all %d probe algorithms hash to node 0; cannot exercise failover", len(algs))
 	}
-	want, _ := postSchedule(t, urls[0], req)
 
 	// Kill the owner.
 	for i, u := range urls {
@@ -224,8 +259,7 @@ func TestMultiNodeFailover(t *testing.T) {
 		}
 	}
 
-	// Entry node 0 holds a local copy from the warm-up round — a fresh
-	// algorithm name under the same death is the honest test, so use a
+	// Entry node 0 holds a local copy from the warm-up round, so ask the
 	// node that never saw the request AND does not own it.
 	var probe string
 	for _, u := range urls {
@@ -240,14 +274,15 @@ func TestMultiNodeFailover(t *testing.T) {
 	if sb := hdr.Get("X-Served-By"); sb != probe {
 		t.Errorf("served by %q, want local fallback %q after owner death", sb, probe)
 	}
-
-	c := &service.Client{BaseURL: probe}
-	snap, err := c.Metrics(context.Background())
+	snap, err := fetchMetrics(probe)
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)
 	}
-	if snap.Shard.ForwardFailures[owner] < 1 {
-		t.Errorf("forward_failures[%s] = %d, want >= 1", owner, snap.Shard.ForwardFailures[owner])
+	if n := computeCount(snap); n != 1 {
+		t.Errorf("node %s computed %d runs, want 1 (the dead owner's key, locally)", probe, n)
+	}
+	if failed := snap.Shard.Probe.Errors + snap.Shard.Probe.Timeouts; failed < 1 {
+		t.Errorf("shard.probe errors+timeouts = %d, want >= 1 (the probe of the dead owner)", failed)
 	}
 
 	// The multi-node client fails over too: owner-first, then survivors.
@@ -261,43 +296,31 @@ func TestMultiNodeFailover(t *testing.T) {
 	}
 }
 
-// TestMultiNodeForwardMetrics asserts the per-peer forward counters
-// appear and add up after forwarded traffic.
-func TestMultiNodeForwardMetrics(t *testing.T) {
-	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
-	inst := instanceJSON(t, testfix.Topcuoglu())
-	for _, alg := range []string{"HEFT", "CPOP", "DLS", "MCP"} {
-		for _, base := range urls {
-			postSchedule(t, base, service.ScheduleRequest{Algorithm: alg, Instance: inst})
-		}
+// ownerRecorder is an HTTP transport that records the X-Shard-Owner
+// of every /v1/schedule response, in order.
+type ownerRecorder struct {
+	mu     sync.Mutex
+	owners []string
+}
+
+func (o *ownerRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && r.URL.Path == "/v1/schedule" {
+		o.mu.Lock()
+		o.owners = append(o.owners, resp.Header.Get("X-Shard-Owner"))
+		o.mu.Unlock()
 	}
-	var forwards int64
-	for _, base := range urls {
-		c := &service.Client{BaseURL: base}
-		snap, err := c.Metrics(context.Background())
-		if err != nil {
-			t.Fatalf("Metrics %s: %v", base, err)
-		}
-		if snap.Shard.Forwards == nil || snap.Shard.ForwardFailures == nil {
-			t.Fatalf("node %s: forward maps missing from /metrics", base)
-		}
-		for peer, n := range snap.Shard.Forwards {
-			if peer == base {
-				t.Errorf("node %s recorded a forward to itself", base)
-			}
-			forwards += n
-		}
-	}
-	if forwards == 0 {
-		t.Errorf("no forwards recorded across the ring; 4 algorithms x 3 entry nodes must forward at least once")
-	}
+	return resp, err
 }
 
 // TestRingClientRoutesToOwner is the client/server key-agreement e2e: a
 // ring-aware client places every request on the node that owns it, so
 // across a mixed workload — indented instances, bare graphs, task names
 // that need HTML escaping, analyze, faults, every comm model, and
-// serving knobs that must not move a key — no node ever forwards.
+// serving knobs that must not move a key — no node ever probes a peer
+// (only a non-owner does), and each node computes exactly the keys it
+// owns. A client that keys requests differently from the server lands
+// some on non-owners, which probe and compute there.
 func TestRingClientRoutesToOwner(t *testing.T) {
 	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
 	inst := instanceJSON(t, testfix.Topcuoglu())
@@ -323,7 +346,12 @@ func TestRingClientRoutesToOwner(t *testing.T) {
 	reqs = append(reqs, service.ScheduleRequest{Algorithm: "HEFT", Graph: graph,
 		Faults: &service.FaultsRequest{Rate: 0.3, Samples: 4, Seed: 1}})
 
-	c := &service.Client{Peers: urls, Retry: &service.RetryPolicy{MaxAttempts: 1}}
+	// Every request is a distinct key (algorithm, payload form, analyze,
+	// comm model or faults differ), so the first round computes each
+	// exactly once, at its owner.
+	rec := &ownerRecorder{}
+	c := &service.Client{Peers: urls, HTTPClient: &http.Client{Transport: rec},
+		Retry: &service.RetryPolicy{MaxAttempts: 1}}
 	for round := 0; round < 2; round++ {
 		for _, req := range reqs {
 			if _, err := c.Schedule(context.Background(), req); err != nil {
@@ -331,62 +359,27 @@ func TestRingClientRoutesToOwner(t *testing.T) {
 			}
 		}
 	}
-	var forwards, failures int64
+	if len(rec.owners) != 2*len(reqs) {
+		t.Fatalf("recorded %d responses, want %d", len(rec.owners), 2*len(reqs))
+	}
+	owned := make(map[string]int, len(urls))
+	for _, o := range rec.owners[:len(reqs)] {
+		owned[o]++
+	}
+	var probes int64
 	for _, base := range urls {
-		snap, err := (&service.Client{BaseURL: base}).Metrics(context.Background())
+		snap, err := fetchMetrics(base)
 		if err != nil {
 			t.Fatalf("Metrics %s: %v", base, err)
 		}
-		for _, n := range snap.Shard.Forwards {
-			forwards += n
+		p := snap.Shard.Probe
+		probes += p.Hits + p.Misses + p.Timeouts + p.Errors
+		if n := computeCount(snap); n != owned[base] {
+			t.Errorf("node %s computed %d runs, want %d (the distinct keys it owns)", base, n, owned[base])
 		}
-		for _, n := range snap.Shard.ForwardFailures {
-			failures += n
-		}
 	}
-	if forwards != 0 || failures != 0 {
-		t.Errorf("%d requests x 2 rounds: %d forwards, %d forward failures; a ring-aware client must land every request on its owner",
-			len(reqs), forwards, failures)
-	}
-}
-
-// TestNonOwnerRelaysOwnersVerdict pins the forward-before-build order:
-// a non-owner relays a request with a malformed instance to the key's
-// owner without building it, and the owner's 400 comes back unchanged.
-func TestNonOwnerRelaysOwnersVerdict(t *testing.T) {
-	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
-	body, err := json.Marshal(service.ScheduleRequest{Algorithm: "HEFT", Instance: json.RawMessage(`[1, 2, 3]`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func(base string) (int, http.Header, string) {
-		resp, err := http.Post(base+"/v1/schedule", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST %s: %v", base, err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		return resp.StatusCode, resp.Header, buf.String()
-	}
-	_, hdr, _ := post(urls[0])
-	owner := hdr.Get("X-Shard-Owner")
-	if owner == "" {
-		t.Fatal("no X-Shard-Owner on a request that passed the envelope checks")
-	}
-	entry := urls[0]
-	if owner == entry {
-		entry = urls[1]
-	}
-	ownStatus, _, ownBody := post(owner)
-	status, hdr, got := post(entry)
-	if ownStatus != http.StatusBadRequest || status != http.StatusBadRequest {
-		t.Fatalf("owner answered %d, non-owner %d; want 400 from both", ownStatus, status)
-	}
-	if sb := hdr.Get("X-Served-By"); sb != owner {
-		t.Errorf("served by %q, want the owner %q (the non-owner must relay, not judge)", sb, owner)
-	}
-	if got != ownBody {
-		t.Errorf("relayed body %q differs from the owner's %q", got, ownBody)
+	if probes != 0 {
+		t.Errorf("%d requests x 2 rounds: %d shard.probe attempts; a ring-aware client must land every request on its owner",
+			len(reqs), probes)
 	}
 }

@@ -6,90 +6,33 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sync"
-	"time"
 )
 
-// Cache replication. Sharding (PR 8) gave every cache key one owner;
-// this layer gives it R successor replicas so an owner's death no
-// longer cold-starts its keyspace. Three mechanisms, all asynchronous
-// and all best-effort (the cache is a cache — losing a replica costs a
+// Cache replication. Sharding gives every cache key one owner; this
+// layer gives it R successor replicas so an owner's death does not
+// cold-start its keyspace. Two mechanisms, both asynchronous and both
+// best-effort (the cache is a cache — losing a replica costs a
 // recompute, never correctness):
 //
 //   - push on compute: after a node computes and caches a result, it
 //     PUTs the entry to the other holders of the key (the first R+1
-//     nodes of the key's ring successor list). Whoever computed —
-//     owner, or a non-owner that fell back when the owner was down —
-//     the copies land at the nodes lookups will consult.
-//   - hinted handoff: a push that fails (peer down, circuit open) is
-//     queued with the target peer as the hint; a bounded retrier
-//     re-delivers once the failure detector judges the peer alive
-//     again, dropping entries after handoffMaxAttempts.
+//     nodes of the key's ring successor list). Whoever computed — the
+//     owner, or a non-owner a plain client reached — the copies land at
+//     the nodes lookups will consult. A failed push is counted and
+//     dropped.
 //   - anti-entropy sweep: when a peer joins or rises from the dead,
 //     every node walks its own cache (bounded by sweepMaxEntries,
-//     hottest first) and hands the rejoining node the entries it
-//     should hold — so a rejoined node's keyspace is warm again within
-//     one sweep instead of one cache-miss at a time.
-const (
-	// handoffMaxQueue bounds the hinted-handoff queue; beyond it the
-	// oldest hints are dropped (counted in /metrics).
-	handoffMaxQueue = 1024
-	// handoffMaxAttempts bounds re-delivery tries per hint.
-	handoffMaxAttempts = 8
-	// sweepMaxEntries bounds one anti-entropy sweep, hottest entries
-	// first (LRU order), so a giant cache cannot stall the ring.
-	sweepMaxEntries = 256
-)
+//     hottest first) and pushes the entries the peer should hold — so a
+//     rejoined node's keyspace is warm again within one sweep instead
+//     of one cache miss at a time. It is the one re-warm path.
 
-// handoffEntry is one undelivered replica write hinted to a peer.
-type handoffEntry struct {
-	peer     string
-	key      string
-	resp     *ScheduleResponse
-	attempts int
-}
-
-// replicator owns replica pushes, the hinted-handoff queue and the
-// anti-entropy sweep of one Server.
-type replicator struct {
-	s *Server
-
-	mu    sync.Mutex
-	queue []handoffEntry
-
-	startOnce sync.Once
-}
-
-func newReplicator(s *Server) *replicator {
-	return &replicator{s: s}
-}
-
-// start launches the handoff retrier (idempotent; called when the
-// membership loop starts — replication is meaningless standalone).
-func (r *replicator) start() {
-	r.startOnce.Do(func() {
-		r.s.workers.Add(1)
-		go r.loop()
-	})
-}
-
-func (r *replicator) loop() {
-	defer r.s.workers.Done()
-	t := time.NewTicker(r.s.opts.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.s.quit:
-			return
-		case <-t.C:
-			r.retryHandoffs()
-		}
-	}
-}
+// sweepMaxEntries bounds one anti-entropy sweep, hottest entries first
+// (LRU order), so a giant cache cannot stall the ring.
+const sweepMaxEntries = 256
 
 // replicaHolders lists the nodes that should hold key under sh's ring:
 // the owner plus the next r distinct successors. With replication off
-// (r == 0) that is just the owner — exactly the PR 8 probe target.
+// (r == 0) that is just the owner.
 func replicaHolders(sh *shardState, key string, r int) []string {
 	succ := sh.ring.successors(key)
 	if len(succ) > r+1 {
@@ -100,11 +43,9 @@ func replicaHolders(sh *shardState, key string, r int) []string {
 
 // replicate pushes a freshly computed entry to the other holders of
 // its key. Fire-and-forget: the computing request never waits on
-// replication.
+// replication. A peer with an open circuit is not dialed; the push
+// counts as failed.
 func (s *Server) replicate(key string, resp *ScheduleResponse) {
-	if s.opts.Replication <= 0 {
-		return
-	}
 	sh := s.shard.Load()
 	if sh == nil {
 		return
@@ -113,41 +54,69 @@ func (s *Server) replicate(key string, resp *ScheduleResponse) {
 		if peer == sh.self {
 			continue
 		}
-		go s.repl.pushOne(peer, key, resp)
+		go func(peer string) {
+			if _, open := s.peerBrk.allow(peer, peerBreakerThreshold); open {
+				s.met.ObserveReplicaPush(false)
+				return
+			}
+			s.push(peer, key, resp)
+		}(peer)
 	}
 }
 
-// pushOne PUTs one entry to one peer, falling back to the hinted-
-// handoff queue on failure. A peer with an open forward circuit is not
-// even dialed — the hint waits for the detector's verdict instead.
-func (r *replicator) pushOne(peer, key string, resp *ScheduleResponse) {
-	if _, open := r.s.peerBrk.allow(peer, forwardBreakerThreshold); open {
-		r.s.met.ObserveReplicaPush(false)
-		r.enqueue(peer, key, resp)
+// sweepFor reconciles a joined or rejoined peer on its own goroutine:
+// walk this node's cache (hottest first, bounded) and push every entry
+// the peer should hold under the current ring. The peer just answered,
+// so its circuit is not consulted. The sweep stops at the first failed
+// push (the peer is gone again; its next rejoin sweeps afresh) and on
+// Shutdown.
+func (s *Server) sweepFor(peer string) {
+	sh := s.shard.Load()
+	if sh == nil || peer == sh.self {
 		return
 	}
-	err := r.put(peer, key, resp)
-	r.s.peerBrk.observe(peer, forwardBreakerThreshold, forwardBreakerCooldown, err)
-	r.s.met.ObserveReplicaPush(err == nil)
-	if err != nil {
-		r.enqueue(peer, key, resp)
-	}
+	go func() {
+		pushed := 0
+		defer func() { s.met.ObserveSweep(pushed) }()
+		for _, e := range s.cache.Snapshot(sweepMaxEntries) {
+			select {
+			case <-s.quit:
+				return
+			default:
+			}
+			for _, holder := range replicaHolders(sh, e.key, s.opts.Replication) {
+				if holder != peer {
+					continue
+				}
+				if s.push(peer, e.key, e.resp) != nil {
+					return
+				}
+				pushed++
+				break
+			}
+		}
+	}()
 }
 
-// put performs one replica PUT bounded by the probe timeout.
-func (r *replicator) put(peer, key string, resp *ScheduleResponse) error {
+// push PUTs one entry to one peer bounded by the probe timeout, feeding
+// the peer's circuit and the push counters.
+func (s *Server) push(peer, key string, resp *ScheduleResponse) (err error) {
+	defer func() {
+		s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, err)
+		s.met.ObserveReplicaPush(err == nil)
+	}()
 	body, err := json.Marshal(resp)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.s.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/cache/"+key, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	hr, err := r.s.peerClient.Do(req)
+	hr, err := s.peerClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -157,105 +126,4 @@ func (r *replicator) put(peer, key string, resp *ScheduleResponse) error {
 		return &StatusError{Method: http.MethodPut, Path: "/v1/cache/", Status: hr.StatusCode}
 	}
 	return nil
-}
-
-// enqueue parks one undelivered write on the handoff queue, dropping
-// the oldest hint when full.
-func (r *replicator) enqueue(peer, key string, resp *ScheduleResponse) {
-	r.mu.Lock()
-	if len(r.queue) >= handoffMaxQueue {
-		r.queue = r.queue[1:]
-		r.s.met.ObserveHandoff(handoffDropped)
-	}
-	r.queue = append(r.queue, handoffEntry{peer: peer, key: key, resp: resp})
-	r.mu.Unlock()
-	r.s.met.ObserveHandoff(handoffQueued)
-}
-
-// retryHandoffs re-delivers hints whose peer the failure detector
-// currently judges alive. Hints to still-dead peers wait (their
-// attempt budget is only spent on real tries); hints that exhaust
-// handoffMaxAttempts are dropped.
-func (r *replicator) retryHandoffs() {
-	sh := r.s.shard.Load()
-	r.mu.Lock()
-	pending := r.queue
-	r.queue = nil
-	r.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	var keep []handoffEntry
-	for _, h := range pending {
-		if sh == nil || !r.s.member.isAlive(h.peer) {
-			keep = append(keep, h) // wait for the detector, free of charge
-			continue
-		}
-		err := r.put(h.peer, h.key, h.resp)
-		r.s.met.ObserveReplicaPush(err == nil)
-		if err == nil {
-			r.s.met.ObserveHandoff(handoffDelivered)
-			continue
-		}
-		h.attempts++
-		if h.attempts >= handoffMaxAttempts {
-			r.s.met.ObserveHandoff(handoffDropped)
-			continue
-		}
-		keep = append(keep, h)
-	}
-	if len(keep) > 0 {
-		r.mu.Lock()
-		r.queue = append(keep, r.queue...)
-		r.mu.Unlock()
-	}
-}
-
-// sweepFor reconciles a joined or rejoined peer: walk this node's
-// cache (hottest first, bounded) and queue every entry the peer should
-// hold under the current ring. Delivery rides the handoff retrier, so
-// a sweep toward a peer that dies again simply waits.
-func (r *replicator) sweepFor(peer string) {
-	if r.s.opts.Replication <= 0 {
-		return
-	}
-	sh := r.s.shard.Load()
-	if sh == nil || peer == sh.self {
-		return
-	}
-	entries := r.s.cache.Snapshot(sweepMaxEntries)
-	queued := 0
-	for _, e := range entries {
-		for _, holder := range replicaHolders(sh, e.key, r.s.opts.Replication) {
-			if holder == peer {
-				r.enqueue(peer, e.key, e.resp)
-				queued++
-				break
-			}
-		}
-	}
-	if queued > 0 {
-		r.s.met.ObserveSweep(queued)
-	}
-}
-
-// handoff hands this node's cache off before a graceful leave: every
-// entry is queued to its owner under the post-leave ring (computed by
-// the caller after the ring swap) and the queue is flushed bounded by
-// ctx. Best-effort — a peer that is down just misses the parting gift.
-func (r *replicator) handoffOnLeave(ctx context.Context, sh *shardState) {
-	if sh == nil {
-		return
-	}
-	for _, e := range r.s.cache.Snapshot(sweepMaxEntries) {
-		if ctx.Err() != nil {
-			return
-		}
-		owner := sh.ring.owner(e.key)
-		if owner == "" || owner == sh.self {
-			continue
-		}
-		err := r.put(owner, e.key, e.resp)
-		r.s.met.ObserveReplicaPush(err == nil)
-	}
 }

@@ -75,10 +75,11 @@ type Options struct {
 	SelfURL string
 	// Peers lists the base URLs of every ring member, SelfURL
 	// included. Two or more distinct peers shard the request-key space
-	// across the ring (requests are forwarded to their owner); fewer
-	// leave the node standalone. In-process tests can instead call
-	// Server.ConfigurePeers after Start, once ephemeral addresses are
-	// known.
+	// across the ring: each key has an owner whose cache is consulted
+	// on a miss elsewhere, and a ring-aware Client sends each request
+	// to it. Fewer leave the node standalone. In-process tests can
+	// instead call Server.ConfigurePeers after Start, once ephemeral
+	// addresses are known.
 	Peers []string
 	// ProbeTimeout bounds one peer-cache probe and one replica push
 	// (default 500ms).
@@ -90,8 +91,9 @@ type Options struct {
 	JoinURL string
 	// Replication is the number of ring successors each cache entry is
 	// replicated to beyond its owner (default 2): a computed result is
-	// pushed to the key's successor nodes so an owner's death does not
-	// cold-start its keyspace. Negative disables replication.
+	// pushed to the key's other holders so an owner's death does not
+	// cold-start its keyspace. Negative keeps the owner copy only: a
+	// result computed on a non-owner is still pushed to the owner.
 	Replication int
 	// HeartbeatInterval paces the membership heartbeat/failure-detector
 	// loop (default 500ms).
@@ -195,7 +197,6 @@ type Server struct {
 	flights  *flightGroup
 	shard    shardPtr // nil load = sharding off
 	member   *membership
-	repl     *replicator
 	// peerBrk and peerClient outlive ring swaps: circuit state about a
 	// flaky peer must survive a membership epoch change, and pooled
 	// connections have no reason to be torn down by a reshard.
@@ -227,7 +228,6 @@ func New(opts Options) *Server {
 		met:        newServerMetrics(),
 	}
 	s.member = newMembership(s)
-	s.repl = newReplicator(s)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/schedule", s.handleSchedule)
 	mux.HandleFunc("/v1/schedule/batch", s.handleBatch)
@@ -282,28 +282,14 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Leave withdraws this node from the ring gracefully: announce the
-// leave to every member (so they reshard immediately instead of
-// waiting out the failure detector), then hand the hottest cache
-// entries to their owners under the post-leave ring — the nodes that
-// inherit our arcs. Best-effort and bounded by ctx; a crash — i.e.
-// Shutdown without Leave — is exactly the path the detector covers.
-// Safe to call more than once.
-func (s *Server) Leave(ctx context.Context) {
-	sh := s.shard.Load()
-	s.member.leave() // announces to peers; marks left so heartbeats stop
-	if sh == nil {
-		return
-	}
-	// The post-leave ring: everyone but us. Entries we hand off go to
-	// the node that owns them now that our arcs are redistributed.
-	after := make([]string, 0, len(sh.ring.peers))
-	for _, p := range sh.ring.peers {
-		if p != sh.self {
-			after = append(after, p)
-		}
-	}
-	s.repl.handoffOnLeave(ctx, &shardState{self: sh.self, ring: newRing(after)})
+// Leave withdraws this node from the ring gracefully: it announces the
+// leave to every member, so they reshard at once instead of waiting
+// out the failure detector. The successors that inherit its arcs
+// already hold replicas of its keys. A crash — Shutdown without Leave —
+// is the path the detector covers. Each announcement is bounded by the
+// probe timeout; ctx is not consulted. Safe to call more than once.
+func (s *Server) Leave(context.Context) {
+	s.member.leave()
 }
 
 // Shutdown drains the server gracefully: the listener closes, in-flight
@@ -335,7 +321,7 @@ func Serve(ctx context.Context, opts Options, drain time.Duration) error {
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	s.Leave(dctx) // announce departure + hand off hot entries, then drain
+	s.Leave(dctx) // announce departure, then drain
 	return s.Shutdown(dctx)
 }
 
@@ -587,15 +573,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Members:     s.member.view().Members,
 	}
 	cl.Alive, cl.Suspect, cl.Dead, cl.Epoch = s.member.counts()
-	s.repl.mu.Lock()
-	cl.Handoff.Pending = len(s.repl.queue)
-	s.repl.mu.Unlock()
 	snap := s.met.Snapshot(len(s.jobs), cap(s.jobs), s.opts.Workers, hits, misses, size, s.opts.CacheSize, self, peers, cl)
 	writeJSON(w, http.StatusOK, snap)
 }
 
 // decodeRequest decodes one /v1/schedule envelope. The raw instance and
-// graph stay undecoded: a cache hit or a forward never builds them.
+// graph stay undecoded: a cache hit never builds them.
 func decodeRequest(body []byte) (*ScheduleRequest, error) {
 	var req ScheduleRequest
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
@@ -812,43 +795,25 @@ func (s *Server) statusFor(err error, timeout time.Duration) (int, string) {
 	}
 }
 
-// relay is a single request's forward hop: the raw body a non-owner
-// sends on to the key's owner, and the writer the owner's answer is
-// streamed back through. Batch items carry none; they are never
-// forwarded.
-type relay struct {
-	w    http.ResponseWriter
-	body []byte
-	// hop is false on a request another node already forwarded here. It
-	// is never forwarded again, so disagreeing ring views degrade to
-	// local computation instead of loops.
-	hop bool
-	// relayed reports that the owner answered and its response was
-	// streamed back; serve then returns no answer of its own.
-	relayed bool
-}
-
 // serve takes one decoded request down the lookup ladder that single
 // requests and batch items share:
 //
 //  1. the checks that need no instance (checkRequest);
 //  2. the request key (requestKey);
 //  3. this node's LRU;
-//  4. on a non-owner, a single request forwards its raw body to the
-//     owner, whose cache is the authoritative tier for the key;
-//  5. the instance build (resolveRequest);
-//  6. on a non-owner, a probe of the key's holders — owner first, then
-//     its replica successors, skipping an owner whose forward just
-//     failed — so a dead owner's keyspace lives on at its successors
-//     (a hit is copied into the local LRU). An owner with a cold cache
-//     computes instead of probing; the anti-entropy sweep re-warms a
-//     rejoined owner;
-//  7. the singleflight group and the worker pool (compute).
+//  4. the instance build (resolveRequest);
+//  5. on a non-owner, a probe of the key's holders — owner first, then
+//     its replica successors — so a dead owner's keyspace lives on at
+//     its successors (a hit is copied into the local LRU). An owner
+//     with a cold cache computes instead of probing; the anti-entropy
+//     sweep re-warms a rejoined owner;
+//  6. the singleflight group and the worker pool (compute).
 //
 // It returns the response, or the status and message the request
-// answers with. Single requests (rl set) fail fast with 503 on a full
-// queue; batch items block on it.
-func (s *Server) serve(parent context.Context, reqID string, req *ScheduleRequest, rl *relay) (*ScheduleResponse, int, string) {
+// answers with. A single request passes its response headers (hdr),
+// which get the shard headers, and fails fast with 503 on a full
+// queue; a batch item passes nil and blocks on the queue.
+func (s *Server) serve(parent context.Context, reqID string, req *ScheduleRequest, hdr http.Header) (*ScheduleResponse, int, string) {
 	low, err := checkRequest(req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
@@ -861,34 +826,24 @@ func (s *Server) serve(parent context.Context, reqID string, req *ScheduleReques
 	ctx, cancel := context.WithTimeout(parent, timeout)
 	defer cancel()
 	sh := s.shard.Load()
-	var remote string // the key's owner when that is another node
+	nonOwner := false
 	if sh != nil {
 		owner := sh.ring.owner(key)
-		if owner != sh.self {
-			remote = owner
-		}
-		if rl != nil {
-			rl.w.Header().Set(hdrShardOwner, owner)
-			rl.w.Header().Set(hdrServedBy, sh.self)
+		nonOwner = owner != sh.self
+		if hdr != nil {
+			hdr.Set(hdrShardOwner, owner)
+			hdr.Set(hdrServedBy, sh.self)
 		}
 	}
 	if resp := s.lookupLocal(key); resp != nil {
 		return resp, http.StatusOK, ""
 	}
-	skip := ""
-	if remote != "" && rl != nil && rl.hop {
-		if s.tryForward(ctx, rl.w, sh, remote, rl.body) {
-			rl.relayed = true
-			return nil, 0, ""
-		}
-		skip = remote
-	}
 	a, in, err := s.resolveRequest(req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
-	if remote != "" {
-		if resp := s.probeReplicas(ctx, sh, key, skip); resp != nil {
+	if nonOwner {
+		if resp := s.probeReplicas(ctx, sh, key); resp != nil {
 			s.met.ObserveTier(tierPeer)
 			s.cache.PutReplica(key, resp)
 			cp := *resp
@@ -897,7 +852,7 @@ func (s *Server) serve(parent context.Context, reqID string, req *ScheduleReques
 		}
 	}
 	resp, err := s.compute(&job{ctx: ctx, alg: a, in: in, analyze: req.Analyze, faults: req.Faults,
-		key: key, reqID: reqID, done: make(chan jobResult, 1)}, low, rl == nil)
+		key: key, reqID: reqID, done: make(chan jobResult, 1)}, low, hdr == nil)
 	if err != nil {
 		status, msg := s.statusFor(err, timeout)
 		return nil, status, msg
@@ -1008,13 +963,10 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID, _ := r.Context().Value(reqIDKey{}).(string)
-	rl := &relay{w: w, body: body, hop: r.Header.Get(hdrForwarded) == ""}
-	resp, status, msg := s.serve(r.Context(), reqID, req, rl)
-	switch {
-	case rl.relayed:
-	case resp != nil:
-		writeJSON(w, status, resp)
-	default:
+	resp, status, msg := s.serve(r.Context(), reqID, req, w.Header())
+	if resp == nil {
 		writeError(w, status, "%s", msg)
+		return
 	}
+	writeJSON(w, status, resp)
 }

@@ -317,11 +317,26 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait until the pool is saturated (2 running, 2 queued).
+	// Wait until the pool is saturated (2 running, 2 queued): Shutdown
+	// closes the listener, so a request that has not reached the queue
+	// yet would be refused rather than drained.
 	deadline := time.Now().Add(2 * time.Second)
 	for slow.starts.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("workers never picked up jobs")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		snap, err := c.Metrics(context.Background())
+		if err != nil {
+			t.Fatalf("Metrics: %v", err)
+		}
+		if snap.Queue.Depth == inflight-2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d queued behind the 2 running jobs", snap.Queue.Depth, inflight-2)
 		}
 		time.Sleep(time.Millisecond)
 	}

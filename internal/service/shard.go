@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -13,24 +12,20 @@ import (
 
 // Sharding headers. Every /v1/schedule response from a ring member
 // carries the owner of the request's key (X-Shard-Owner) and the node
-// that actually served it (X-Served-By). A node forwards a request it
-// does not own to the owner exactly once, marking the hop with
-// X-Schedd-Forwarded; a request already carrying that header is never
-// forwarded again, so inconsistent ring configurations degrade to
-// local computation instead of forwarding loops.
+// that served it (X-Served-By). A plain client's request is served
+// where it lands; a ring-aware client sends it to the owner, so the
+// two agree.
 const (
 	hdrShardOwner = "X-Shard-Owner"
 	hdrServedBy   = "X-Served-By"
-	hdrForwarded  = "X-Schedd-Forwarded"
 )
 
-// Forwarding circuit parameters: a peer that fails this many
-// consecutive forwards/probes is skipped for the cooldown, so a dead
-// node costs one connection timeout per cooldown instead of per
-// request.
+// Peer circuit parameters: a peer that fails this many consecutive
+// probes or replica pushes is skipped for the cooldown, so a dead node
+// costs one connection timeout per cooldown instead of per request.
 const (
-	forwardBreakerThreshold = 3
-	forwardBreakerCooldown  = 3 * time.Second
+	peerBreakerThreshold = 3
+	peerBreakerCooldown  = 3 * time.Second
 )
 
 // shardState is the immutable ring view of one configuration epoch;
@@ -63,58 +58,13 @@ func (s *Server) ConfigureJoin(self, seed string) error {
 	return s.member.configureJoin(self, seed)
 }
 
-// tryForward relays a /v1/schedule request body to the owning peer and
-// streams its response back. Returns false — telling the caller to
-// compute locally — when the peer's circuit is open, the transport
-// fails, or the owner is itself overloaded (503): a sharded ring
-// prefers answering from the wrong node over failing from the right
-// one. Any other owner response (including 4xx/5xx verdicts about the
-// request itself) is authoritative and relayed as-is.
-func (s *Server) tryForward(ctx context.Context, w http.ResponseWriter, sh *shardState, owner string, body []byte) bool {
-	if _, open := s.peerBrk.allow(owner, forwardBreakerThreshold); open {
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v1/schedule", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(hdrForwarded, sh.self)
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
-		s.met.ObserveForward(owner, false)
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown,
-			&StatusError{Method: http.MethodPost, Path: "/v1/schedule", Status: resp.StatusCode})
-		s.met.ObserveForward(owner, false)
-		return false
-	}
-	s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
-	s.met.ObserveForward(owner, true)
-	w.Header().Del(hdrServedBy) // the owner names who served, if anyone
-	if v := resp.Header.Get(hdrServedBy); v != "" {
-		w.Header().Set(hdrServedBy, v)
-	}
-	if v := resp.Header.Get("Content-Type"); v != "" {
-		w.Header().Set("Content-Type", v)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return true
-}
-
 // probePeerCache asks one peer whether it already has key's result — a
 // cheap GET against its cache, never a computation. Any failure
 // (circuit open, timeout, malformed body) degrades to a miss; timeouts
 // are counted separately from true misses, since a fleet whose probes
 // time out needs a bigger -probe-timeout, not a warmer cache.
 func (s *Server) probePeerCache(ctx context.Context, owner, key string) *ScheduleResponse {
-	if _, open := s.peerBrk.allow(owner, forwardBreakerThreshold); open {
+	if _, open := s.peerBrk.allow(owner, peerBreakerThreshold); open {
 		return nil
 	}
 	pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
@@ -130,7 +80,7 @@ func (s *Server) probePeerCache(ctx context.Context, owner, key string) *Schedul
 		} else {
 			s.met.ObserveProbe(probeError)
 		}
-		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
+		s.peerBrk.observe(owner, peerBreakerThreshold, peerBreakerCooldown, err)
 		return nil
 	}
 	defer resp.Body.Close()
@@ -143,10 +93,10 @@ func (s *Server) probePeerCache(ctx context.Context, owner, key string) *Schedul
 		} else {
 			s.met.ObserveProbe(probeMiss)
 		}
-		s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, obs)
+		s.peerBrk.observe(owner, peerBreakerThreshold, peerBreakerCooldown, obs)
 		return nil
 	}
-	s.peerBrk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
+	s.peerBrk.observe(owner, peerBreakerThreshold, peerBreakerCooldown, nil)
 	var out ScheduleResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, s.opts.MaxBodyBytes)).Decode(&out); err != nil {
 		s.met.ObserveProbe(probeError)
@@ -159,12 +109,11 @@ func (s *Server) probePeerCache(ctx context.Context, owner, key string) *Schedul
 // probeReplicas walks key's holder set — owner first, then its
 // replication successors — probing each peer's cache until one
 // answers. With replication disabled the set is just the owner, which
-// is exactly the PR 8 lookup; with it, a dead owner's keyspace is
-// still one probe away at its successors. skip names a peer to leave
-// out (e.g. an owner a forward just failed against).
-func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key, skip string) *ScheduleResponse {
+// is a single probe; with it, a dead owner's keyspace is still one
+// probe away at its successors.
+func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key string) *ScheduleResponse {
 	for _, peer := range replicaHolders(sh, key, s.opts.Replication) {
-		if peer == sh.self || peer == skip {
+		if peer == sh.self {
 			continue
 		}
 		if resp := s.probePeerCache(ctx, peer, key); resp != nil {
@@ -182,8 +131,8 @@ func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key, skip st
 //	GET /v1/cache/{hash} — the probe. Only ever reads this node's LRU;
 //	a probe can never trigger a computation, which is what keeps the
 //	tiered lookup cheap.
-//	PUT /v1/cache/{hash} — a replication push or handoff: the body (a
-//	ScheduleResponse) is stored as a replica copy.
+//	PUT /v1/cache/{hash} — a replica push or an anti-entropy sweep: the
+//	body (a ScheduleResponse) is stored as a replica copy.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/v1/cache/")
 	if !validCacheKey(key) {

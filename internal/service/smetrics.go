@@ -40,14 +40,6 @@ const (
 	numProbeOutcomes
 )
 
-// Hinted-handoff queue events.
-const (
-	handoffQueued = iota
-	handoffDelivered
-	handoffDropped
-	numHandoffEvents
-)
-
 // serverMetrics aggregates the observability state of one Server. All
 // methods are safe for concurrent use.
 type serverMetrics struct {
@@ -70,21 +62,16 @@ type serverMetrics struct {
 	tiers [numTiers]int64
 	// Peer cache-probe outcomes, indexed by the probe* constants.
 	probes [numProbeOutcomes]int64
-	// Replication traffic: outgoing push attempts and incoming stores.
+	// Replication traffic: outgoing push attempts, incoming stores and
+	// entries pushed by anti-entropy sweeps.
 	replPushes    int64
 	replPushFails int64
 	replStores    int64
-	// Hinted-handoff queue events, indexed by the handoff* constants,
-	// plus entries queued by anti-entropy sweeps.
-	handoffs    [numHandoffEvents]int64
-	sweepQueued int64
+	sweepPushed   int64
 	// Batch endpoint: request count, total items, size histogram.
-	batchCount  int64
-	batchItems  int64
-	batchSizes  []int64 // per batchSizeBuckets bucket, non-cumulative
-	// Per-peer forwarding outcomes.
-	forwards     map[string]int64
-	forwardFails map[string]int64
+	batchCount int64
+	batchItems int64
+	batchSizes []int64 // per batchSizeBuckets bucket, non-cumulative
 	// Per-algorithm makespan and scheduling-runtime accumulators over
 	// uncached successful runs.
 	algMakespan map[string]*metrics.Accumulator
@@ -94,15 +81,13 @@ type serverMetrics struct {
 
 func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
-		start:        time.Now(),
-		byStatus:     make(map[int]int64),
-		latCounts:    make([]int64, len(latencyBucketsMs)+1),
-		batchSizes:   make([]int64, len(batchSizeBuckets)+1),
-		forwards:     make(map[string]int64),
-		forwardFails: make(map[string]int64),
-		algMakespan:  make(map[string]*metrics.Accumulator),
-		algRuntime:   make(map[string]*metrics.Accumulator),
-		algCount:     make(map[string]int),
+		start:       time.Now(),
+		byStatus:    make(map[int]int64),
+		latCounts:   make([]int64, len(latencyBucketsMs)+1),
+		batchSizes:  make([]int64, len(batchSizeBuckets)+1),
+		algMakespan: make(map[string]*metrics.Accumulator),
+		algRuntime:  make(map[string]*metrics.Accumulator),
+		algCount:    make(map[string]int),
 	}
 }
 
@@ -185,18 +170,11 @@ func (m *serverMetrics) ObserveReplicaStore() {
 	m.replStores++
 }
 
-// ObserveHandoff records one hinted-handoff queue event.
-func (m *serverMetrics) ObserveHandoff(event int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handoffs[event]++
-}
-
-// ObserveSweep records n entries queued by one anti-entropy sweep.
+// ObserveSweep records n entries pushed by one anti-entropy sweep.
 func (m *serverMetrics) ObserveSweep(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sweepQueued += int64(n)
+	m.sweepPushed += int64(n)
 }
 
 // ObserveBatch records one batch request of the given size.
@@ -207,17 +185,6 @@ func (m *serverMetrics) ObserveBatch(size int) {
 	m.batchItems += int64(size)
 	i := sort.SearchInts(batchSizeBuckets, size)
 	m.batchSizes[i]++
-}
-
-// ObserveForward records one forwarding attempt to peer.
-func (m *serverMetrics) ObserveForward(peer string, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.forwards[peer]++
-	} else {
-		m.forwardFails[peer]++
-	}
 }
 
 // ObserveRun records one successful uncached scheduling run.
@@ -250,7 +217,7 @@ func statsJSON(a *metrics.Accumulator) StatsJSON {
 // Snapshot renders the metrics; queue, cache, shard and cluster
 // figures are supplied by the server, which owns those structures
 // (the cluster block arrives pre-filled with membership state and
-// Snapshot adds the replication/handoff counters it owns).
+// Snapshot adds the replication counters it owns).
 func (m *serverMetrics) Snapshot(queueDepth, queueCap, workers int, cacheHits, cacheMisses int64, cacheSize, cacheCap int, self string, peers []string, cluster ClusterJSON) MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -300,14 +267,7 @@ func (m *serverMetrics) Snapshot(queueDepth, queueCap, workers int, cacheHits, c
 	out.Shard.Self = self
 	out.Shard.Peers = peers
 	out.Shard.Enabled = len(peers) >= 2
-	out.Shard.Forwards = make(map[string]int64, len(m.forwards))
-	for p, n := range m.forwards {
-		out.Shard.Forwards[p] = n
-	}
-	out.Shard.ForwardFailures = make(map[string]int64, len(m.forwardFails))
-	for p, n := range m.forwardFails {
-		out.Shard.ForwardFailures[p] = n
-	}
+	out.Shard.Forwards, out.Shard.ForwardFailures = map[string]int64{}, map[string]int64{}
 	out.Shard.Probe.Hits = m.probes[probeHit]
 	out.Shard.Probe.Misses = m.probes[probeMiss]
 	out.Shard.Probe.Timeouts = m.probes[probeTimeout]
@@ -316,10 +276,7 @@ func (m *serverMetrics) Snapshot(queueDepth, queueCap, workers int, cacheHits, c
 	out.Cluster.Replica.Pushes = m.replPushes
 	out.Cluster.Replica.PushFailures = m.replPushFails
 	out.Cluster.Replica.Stores = m.replStores
-	out.Cluster.Replica.SweepQueued = m.sweepQueued
-	out.Cluster.Handoff.Queued = m.handoffs[handoffQueued]
-	out.Cluster.Handoff.Delivered = m.handoffs[handoffDelivered]
-	out.Cluster.Handoff.Dropped = m.handoffs[handoffDropped]
+	out.Cluster.Replica.SweepQueued = m.sweepPushed
 	out.Algorithms = make(map[string]AlgorithmStats, len(m.algCount))
 	for name, n := range m.algCount {
 		out.Algorithms[name] = AlgorithmStats{

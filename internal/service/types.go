@@ -157,11 +157,11 @@ type RepairedJSON struct {
 	Chosen   string  `json:"chosen"`
 	Makespan float64 `json:"makespan"`
 	// Stretch divides the repaired makespan by the nominal one.
-	Stretch float64 `json:"stretch"`
-	Frozen  int     `json:"frozen"`
-	Lost    int     `json:"lost"`
-	Remapped int    `json:"remapped"`
-	Delayed  int    `json:"delayed"`
+	Stretch  float64 `json:"stretch"`
+	Frozen   int     `json:"frozen"`
+	Lost     int     `json:"lost"`
+	Remapped int     `json:"remapped"`
+	Delayed  int     `json:"delayed"`
 }
 
 // AssignmentJSON is one task copy placed on a processor.
@@ -212,7 +212,7 @@ type MemberJSON struct {
 }
 
 // ClusterJSON is the cluster block of GET /metrics: membership state
-// plus replication and hinted-handoff traffic.
+// plus replication traffic.
 type ClusterJSON struct {
 	// Enabled reports whether this node is currently sharding (two or
 	// more live ring members).
@@ -235,14 +235,13 @@ type ClusterJSON struct {
 		Pushes       int64 `json:"pushes"`
 		PushFailures int64 `json:"pushFailures"`
 		Stores       int64 `json:"stores"`
-		// SweepQueued counts entries queued by anti-entropy sweeps
+		// SweepQueued counts entries pushed by anti-entropy sweeps
 		// toward joining/rejoining peers.
 		SweepQueued int64 `json:"sweepQueued"`
 	} `json:"replica"`
-	// Handoff counts the hinted-handoff queue's lifecycle: writes
-	// queued for a down peer, re-delivered once it returned, dropped
-	// after exhausting retries (or queue overflow), and the current
-	// queue length.
+	// Handoff is retired and always zero: schedd no longer queues
+	// failed pushes for later delivery. It stays until the benchmark
+	// that reads it drops it.
 	Handoff struct {
 		Queued    int64 `json:"queued"`
 		Delivered int64 `json:"delivered"`
@@ -310,14 +309,14 @@ type MetricsSnapshot struct {
 		SizeHistogram SizeHistogramJSON `json:"sizeHistogram"`
 	} `json:"batch"`
 	// Shard describes this node's position on the consistent-hash ring
-	// and its forwarding traffic (per-peer success/failure counts).
+	// and its peer cache probes.
 	Shard struct {
 		Enabled bool     `json:"enabled"`
 		Self    string   `json:"self,omitempty"`
 		Peers   []string `json:"peers,omitempty"`
-		// Forwards counts requests forwarded to each owning peer;
-		// ForwardFailures counts forwards that failed (and fell back to
-		// computing locally).
+		// Forwards and ForwardFailures are retired and always empty:
+		// schedd no longer forwards requests. They stay until the
+		// benchmark that reads them drops them.
 		Forwards        map[string]int64 `json:"forwards"`
 		ForwardFailures map[string]int64 `json:"forwardFailures"`
 		// Probe counts peer cache-probe outcomes; timeouts are distinct
